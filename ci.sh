@@ -6,6 +6,63 @@ set -eu
 
 cd "$(dirname "$0")"
 
+# Scratch files live in one directory under $TMPDIR. Every background
+# trauserve is recorded in $server_pids, so whatever check fails, the
+# exit trap stops the servers still up and removes the directory.
+work=$(mktemp -d)
+server_pids=""
+stop_servers() {
+    for p in $server_pids; do
+        kill -KILL "$p" 2>/dev/null || true
+    done
+    rm -rf "$work"
+}
+trap stop_servers EXIT
+trap 'exit 130' INT TERM
+
+# start_server LOG ARGS... boots trauserve in the background with its
+# output in LOG, records its pid (left in $pid) and waits up to 10 s for
+# it to announce its address (left in $url).
+start_server() {
+    log=$1
+    shift
+    "$work/trauserve" "$@" >"$log" 2>&1 &
+    pid=$!
+    server_pids="$server_pids $pid"
+    url=""
+    for _ in $(seq 1 100); do
+        url=$(sed -n 's/^trauserve: listening on //p' "$log")
+        [ -n "$url" ] && return 0
+        sleep 0.1
+    done
+    echo "trauserve $* did not announce its address" >&2
+    cat "$log" >&2
+    exit 1
+}
+
+# reap PID waits for a server that has been stopped, then drops it from
+# $server_pids, so the exit trap never signals a reused pid. The pid
+# stays recorded until wait returns: a signal that lands mid-drain still
+# reaches it through the trap. The exit status is wait's.
+reap() {
+    st=0
+    wait "$1" || st=$?
+    rest=""
+    for p in $server_pids; do
+        [ "$p" = "$1" ] || rest="$rest $p"
+    done
+    server_pids=$rest
+    return $st
+}
+
+# drain_server PID LOG requires a graceful SIGTERM drain: exit status 0
+# and the drained line in LOG.
+drain_server() {
+    kill -TERM "$1"
+    reap "$1"
+    grep -q 'trauserve: drained' "$2"
+}
+
 echo "==> gofmt"
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -24,10 +81,10 @@ echo "==> traulint"
 # Gate on the machine-readable report: the run must exit 0 AND render a
 # literal empty findings array, so a formatting regression in the JSON
 # encoder cannot silently stop the gate from seeing findings.
-go run ./cmd/traulint -json ./... >/tmp/traulint.json
-if ! grep -q '"findings": \[\]' /tmp/traulint.json; then
+go run ./cmd/traulint -json ./... >"$work/traulint.json"
+if ! grep -q '"findings": \[\]' "$work/traulint.json"; then
     echo "traulint findings:" >&2
-    cat /tmp/traulint.json >&2
+    cat "$work/traulint.json" >&2
     exit 1
 fi
 
@@ -72,53 +129,23 @@ echo "==> trauserve smoke"
 # once from the cache, probe /stats, then require a graceful SIGTERM
 # drain with exit code 0. Gating — a server that cannot serve or drain
 # is broken no matter what the unit tests say.
-go build -o /tmp/trauserve ./cmd/trauserve
-/tmp/trauserve -addr 127.0.0.1:0 >/tmp/trauserve.log 2>&1 &
-trauserve_pid=$!
-url=""
-for _ in $(seq 1 100); do
-    url=$(sed -n 's/^trauserve: listening on //p' /tmp/trauserve.log)
-    [ -n "$url" ] && break
-    sleep 0.1
-done
-if [ -z "$url" ]; then
-    echo "trauserve did not announce its address" >&2
-    cat /tmp/trauserve.log >&2
-    kill "$trauserve_pid" 2>/dev/null || true
-    exit 1
-fi
+go build -o "$work/trauserve" ./cmd/trauserve
+start_server "$work/trauserve.log" -addr 127.0.0.1:0
 payload='{"smtlib": "(declare-fun x () String)(declare-fun n () Int)(assert (= n (str.to_int x)))(assert (= n 42))(assert (= (str.len x) 4))(check-sat)"}'
 curl -sf -X POST -d "$payload" "$url/solve" | grep -q '"status": "sat"'
 curl -sf -X POST -d "$payload" "$url/solve" | grep -q '"cached": true'
 curl -sf "$url/stats" | grep -q '"cache"'
-kill -TERM "$trauserve_pid"
-wait "$trauserve_pid"
-grep -q 'trauserve: drained' /tmp/trauserve.log
+drain_server "$pid" "$work/trauserve.log"
 
 echo "==> trauserve portfolio smoke"
 # Same boot, -portfolio: the solve response must name the backend that
 # won the race and /stats must expose the portfolio's win history.
-/tmp/trauserve -addr 127.0.0.1:0 -portfolio >/tmp/trauserve_pf.log 2>&1 &
-trauserve_pid=$!
-url=""
-for _ in $(seq 1 100); do
-    url=$(sed -n 's/^trauserve: listening on //p' /tmp/trauserve_pf.log)
-    [ -n "$url" ] && break
-    sleep 0.1
-done
-if [ -z "$url" ]; then
-    echo "trauserve (portfolio smoke) did not announce its address" >&2
-    cat /tmp/trauserve_pf.log >&2
-    kill "$trauserve_pid" 2>/dev/null || true
-    exit 1
-fi
-curl -sf -X POST -d "$payload" "$url/solve" >/tmp/trauserve_pf_body.json
-grep -q '"status": "sat"' /tmp/trauserve_pf_body.json
-grep -q '"backend"' /tmp/trauserve_pf_body.json
+start_server "$work/trauserve_pf.log" -addr 127.0.0.1:0 -portfolio
+curl -sf -X POST -d "$payload" "$url/solve" >"$work/trauserve_pf_body.json"
+grep -q '"status": "sat"' "$work/trauserve_pf_body.json"
+grep -q '"backend"' "$work/trauserve_pf_body.json"
 curl -sf "$url/stats" | grep -q '"portfolio"'
-kill -TERM "$trauserve_pid"
-wait "$trauserve_pid"
-grep -q 'trauserve: drained' /tmp/trauserve_pf.log
+drain_server "$pid" "$work/trauserve_pf.log"
 
 echo "==> trauserve fault smoke"
 # Containment end-to-end: boot with -faultseed 3072 (panic at the first
@@ -126,33 +153,17 @@ echo "==> trauserve fault smoke"
 # structured 500 carrying a fault id, the NEXT request to succeed on the
 # surviving worker, /stats to expose the contained fault, and the
 # process to still drain cleanly.
-/tmp/trauserve -addr 127.0.0.1:0 -workers 1 -faultseed 3072 >/tmp/trauserve_fault.log 2>&1 &
-trauserve_pid=$!
-url=""
-for _ in $(seq 1 100); do
-    url=$(sed -n 's/^trauserve: listening on //p' /tmp/trauserve_fault.log)
-    [ -n "$url" ] && break
-    sleep 0.1
-done
-if [ -z "$url" ]; then
-    echo "trauserve (fault smoke) did not announce its address" >&2
-    cat /tmp/trauserve_fault.log >&2
-    kill "$trauserve_pid" 2>/dev/null || true
-    exit 1
-fi
-first=$(curl -s -o /tmp/trauserve_fault_body.json -w '%{http_code}' -X POST -d "$payload" "$url/solve")
+start_server "$work/trauserve_fault.log" -addr 127.0.0.1:0 -workers 1 -faultseed 3072
+first=$(curl -s -o "$work/trauserve_fault_body.json" -w '%{http_code}' -X POST -d "$payload" "$url/solve")
 if [ "$first" != "500" ]; then
     echo "fault smoke: first request status $first, want 500" >&2
-    cat /tmp/trauserve_fault_body.json >&2
-    kill "$trauserve_pid" 2>/dev/null || true
+    cat "$work/trauserve_fault_body.json" >&2
     exit 1
 fi
-grep -q '"fault_id"' /tmp/trauserve_fault_body.json
+grep -q '"fault_id"' "$work/trauserve_fault_body.json"
 curl -sf -X POST -d "$payload" "$url/solve" | grep -q '"status": "sat"'
 curl -sf "$url/stats" | grep -q '"contained": 1'
-kill -TERM "$trauserve_pid"
-wait "$trauserve_pid"
-grep -q 'trauserve: drained' /tmp/trauserve_fault.log
+drain_server "$pid" "$work/trauserve_fault.log"
 
 echo "==> trauserve batch smoke"
 # Multi-tenant QoS end-to-end: submit a 20-instance batch of one slow
@@ -162,32 +173,18 @@ echo "==> trauserve batch smoke"
 # (b) the duplicates coalesce onto one underlying solve (nonzero
 # coalesce hits in /stats), (c) the job polls to completion with every
 # instance settled, and (d) the process still drains cleanly.
-go run ./cmd/benchgen -out /tmp/ci_suites -per 1 -luhn 8 >/dev/null
-slow=$(grep -v '^;' /tmp/ci_suites/table3/checkLuhn/luhn-08.smt2 | tr '\n' ' ' | sed 's/"/\\"/g')
+go run ./cmd/benchgen -out "$work/suites" -per 1 -luhn 8 >/dev/null
+slow=$(grep -v '^;' "$work/suites/table3/checkLuhn/luhn-08.smt2" | tr '\n' ' ' | sed 's/"/\\"/g')
 inst="{\"smtlib\": \"$slow\"}"
 insts="$inst"
 for _ in $(seq 2 20); do insts="$insts, $inst"; done
 batch_payload="{\"instances\": [$insts], \"timeout_ms\": 25000}"
-/tmp/trauserve -addr 127.0.0.1:0 -workers 2 >/tmp/trauserve_batch.log 2>&1 &
-trauserve_pid=$!
-url=""
-for _ in $(seq 1 100); do
-    url=$(sed -n 's/^trauserve: listening on //p' /tmp/trauserve_batch.log)
-    [ -n "$url" ] && break
-    sleep 0.1
-done
-if [ -z "$url" ]; then
-    echo "trauserve (batch smoke) did not announce its address" >&2
-    cat /tmp/trauserve_batch.log >&2
-    kill "$trauserve_pid" 2>/dev/null || true
-    exit 1
-fi
-curl -sf -X POST -H 'X-Tenant: bulk' -d "$batch_payload" "$url/batch" >/tmp/trauserve_batch_202.json
-job_id=$(sed -n 's/.*"job_id": "\([^"]*\)".*/\1/p' /tmp/trauserve_batch_202.json)
+start_server "$work/trauserve_batch.log" -addr 127.0.0.1:0 -workers 2
+curl -sf -X POST -H 'X-Tenant: bulk' -d "$batch_payload" "$url/batch" >"$work/trauserve_batch_202.json"
+job_id=$(sed -n 's/.*"job_id": "\([^"]*\)".*/\1/p' "$work/trauserve_batch_202.json")
 if [ -z "$job_id" ]; then
     echo "batch smoke: no job id in the 202" >&2
-    cat /tmp/trauserve_batch_202.json >&2
-    kill "$trauserve_pid" 2>/dev/null || true
+    cat "$work/trauserve_batch_202.json" >&2
     exit 1
 fi
 # Interactive solves from another tenant while the batch is in flight:
@@ -198,15 +195,14 @@ for _ in 1 2 3; do
         -d "$payload" "$url/solve")
     if ! awk "BEGIN{exit !($t < 2.0)}"; then
         echo "batch smoke: interactive solve took ${t}s under the batch flood" >&2
-        kill "$trauserve_pid" 2>/dev/null || true
         exit 1
     fi
 done
 # Poll the job to completion.
 pending=1
 for _ in $(seq 1 120); do
-    curl -sf "$url/jobs/$job_id" >/tmp/trauserve_batch_job.json
-    if grep -q '"pending": 0' /tmp/trauserve_batch_job.json; then
+    curl -sf "$url/jobs/$job_id" >"$work/trauserve_batch_job.json"
+    if grep -q '"pending": 0' "$work/trauserve_batch_job.json"; then
         pending=0
         break
     fi
@@ -214,12 +210,11 @@ for _ in $(seq 1 120); do
 done
 if [ "$pending" != "0" ]; then
     echo "batch smoke: job never settled" >&2
-    cat /tmp/trauserve_batch_job.json >&2
-    kill "$trauserve_pid" 2>/dev/null || true
+    cat "$work/trauserve_batch_job.json" >&2
     exit 1
 fi
-grep -q '"state": "done"' /tmp/trauserve_batch_job.json
-if grep -q '"status": "pending"' /tmp/trauserve_batch_job.json; then
+grep -q '"state": "done"' "$work/trauserve_batch_job.json"
+if grep -q '"status": "pending"' "$work/trauserve_batch_job.json"; then
     echo "batch smoke: settled job still reports pending instances" >&2
     exit 1
 fi
@@ -228,12 +223,9 @@ coalesced=$(curl -sf "$url/stats" | sed -n '/"dedup"/,/}/s/.*"coalesced": \([0-9
 if [ -z "$coalesced" ] || [ "$coalesced" -eq 0 ]; then
     echo "batch smoke: no coalesce hits in /stats (got '${coalesced:-none}')" >&2
     curl -sf "$url/stats" >&2 || true
-    kill "$trauserve_pid" 2>/dev/null || true
     exit 1
 fi
-kill -TERM "$trauserve_pid"
-wait "$trauserve_pid"
-grep -q 'trauserve: drained' /tmp/trauserve_batch.log
+drain_server "$pid" "$work/trauserve_batch.log"
 
 echo "==> trauserve router smoke"
 # The cluster layer end-to-end, as separate OS processes: three shards
@@ -246,38 +238,21 @@ base=$((21000 + $$ % 9000))
 s1="127.0.0.1:$base"; s2="127.0.0.1:$((base + 1))"; s3="127.0.0.1:$((base + 2))"
 router_addr="127.0.0.1:$((base + 3))"
 shard_list="$s1,$s2,$s3"
-shard_pids=""
+surviving_shards=""
 for s in "$s1" "$s2" "$s3"; do
-    /tmp/trauserve -addr "$s" -self "$s" -shards "$shard_list" -workers 2 \
-        >"/tmp/trauserve_shard_${s##*:}.log" 2>&1 &
-    shard_pids="$shard_pids $!"
-done
-/tmp/trauserve -addr "$router_addr" -router -shards "$shard_list" -probe 100ms \
-    >/tmp/trauserve_router.log 2>&1 &
-router_pid=$!
-for log in "/tmp/trauserve_shard_${s1##*:}.log" "/tmp/trauserve_shard_${s2##*:}.log" \
-    "/tmp/trauserve_shard_${s3##*:}.log" /tmp/trauserve_router.log; do
-    up=""
-    for _ in $(seq 1 100); do
-        up=$(sed -n 's/^trauserve: listening on //p' "$log")
-        [ -n "$up" ] && break
-        sleep 0.1
-    done
-    if [ -z "$up" ]; then
-        echo "router smoke: process behind $log did not come up" >&2
-        cat "$log" >&2
-        kill $shard_pids "$router_pid" 2>/dev/null || true
-        exit 1
+    start_server "$work/trauserve_shard_${s##*:}.log" -addr "$s" -self "$s" \
+        -shards "$shard_list" -workers 2
+    if [ "$s" = "$s1" ]; then
+        shard_kill_pid=$pid
+    else
+        surviving_shards="$surviving_shards $pid"
     fi
 done
-grep -q 'trauserve: routing across 3 shards' /tmp/trauserve_router.log
+start_server "$work/trauserve_router.log" -addr "$router_addr" -router \
+    -shards "$shard_list" -probe 100ms
+router_pid=$pid
+grep -q 'trauserve: routing across 3 shards' "$work/trauserve_router.log"
 router_url="http://$router_addr"
-shard_kill_pid=$(pgrep -f "trauserve -addr $s1 " | head -1)
-if [ -z "$shard_kill_pid" ]; then
-    echo "router smoke: could not find the pid of shard $s1" >&2
-    kill $shard_pids "$router_pid" 2>/dev/null || true
-    exit 1
-fi
 # Mixed flood through the router: 12 distinct problems (distinct hashes
 # spread across the ring), shard s1 SIGKILLed after the 4th. Every
 # single request must come back 200 with a settled verdict.
@@ -285,22 +260,22 @@ i=0
 while [ "$i" -lt 12 ]; do
     if [ "$i" = 4 ]; then
         kill -KILL "$shard_kill_pid"
+        reap "$shard_kill_pid" || true
     fi
     n=$((40 + i))
     p="{\"smtlib\": \"(declare-fun x () String)(declare-fun n () Int)(assert (= n (str.to_int x)))(assert (= n $n))(assert (= (str.len x) 4))(check-sat)\"}"
-    code=$(curl -s -o /tmp/trauserve_router_body.json -w '%{http_code}' -X POST -d "$p" "$router_url/solve")
-    if [ "$code" != "200" ] || ! grep -q '"status": "sat"' /tmp/trauserve_router_body.json; then
+    code=$(curl -s -o "$work/trauserve_router_body.json" -w '%{http_code}' -X POST -d "$p" "$router_url/solve")
+    if [ "$code" != "200" ] || ! grep -q '"status": "sat"' "$work/trauserve_router_body.json"; then
         echo "router smoke: request $i answered $code mid-kill" >&2
-        cat /tmp/trauserve_router_body.json >&2
-        kill $shard_pids "$router_pid" 2>/dev/null || true
+        cat "$work/trauserve_router_body.json" >&2
         exit 1
     fi
     i=$((i + 1))
 done
 # The health probes must have opened the dead shard's breaker.
 sleep 1
-curl -sf "$router_url/stats" >/tmp/trauserve_router_stats.json
-grep -q '"breaker": "open"' /tmp/trauserve_router_stats.json
+curl -sf "$router_url/stats" >"$work/trauserve_router_stats.json"
+grep -q '"breaker": "open"' "$work/trauserve_router_stats.json"
 # Drive failover explicitly: which shard owns a given problem is up to
 # the hash, so keep sending fresh problems until one lands on the dead
 # owner and is routed past it. Each problem has a 1-in-3 chance, so 60
@@ -309,36 +284,32 @@ failovers=0
 i=100
 while [ "$i" -lt 160 ]; do
     p="{\"smtlib\": \"(declare-fun x () String)(declare-fun n () Int)(assert (= n (str.to_int x)))(assert (= n $i))(assert (= (str.len x) 4))(check-sat)\"}"
-    code=$(curl -s -o /tmp/trauserve_router_body.json -w '%{http_code}' -X POST -d "$p" "$router_url/solve")
-    if [ "$code" != "200" ] || ! grep -q '"status": "sat"' /tmp/trauserve_router_body.json; then
+    code=$(curl -s -o "$work/trauserve_router_body.json" -w '%{http_code}' -X POST -d "$p" "$router_url/solve")
+    if [ "$code" != "200" ] || ! grep -q '"status": "sat"' "$work/trauserve_router_body.json"; then
         echo "router smoke: request n=$i answered $code against the degraded cluster" >&2
-        cat /tmp/trauserve_router_body.json >&2
-        kill $shard_pids "$router_pid" 2>/dev/null || true
+        cat "$work/trauserve_router_body.json" >&2
         exit 1
     fi
-    curl -sf "$router_url/stats" >/tmp/trauserve_router_stats.json
-    failovers=$(sed -n 's/.*"failovers": \([0-9]*\).*/\1/p' /tmp/trauserve_router_stats.json)
+    curl -sf "$router_url/stats" >"$work/trauserve_router_stats.json"
+    failovers=$(sed -n 's/.*"failovers": \([0-9]*\).*/\1/p' "$work/trauserve_router_stats.json")
     [ -n "$failovers" ] && [ "$failovers" -gt 0 ] && break
     i=$((i + 1))
 done
 if [ -z "$failovers" ] || [ "$failovers" -eq 0 ]; then
     echo "router smoke: no failovers recorded though a shard was killed" >&2
-    cat /tmp/trauserve_router_stats.json >&2
-    kill $shard_pids "$router_pid" 2>/dev/null || true
+    cat "$work/trauserve_router_stats.json" >&2
     exit 1
 fi
 # Clean drain: the router and both surviving shards exit 0 on SIGTERM.
-kill -TERM "$router_pid"
-wait "$router_pid"
-grep -q 'trauserve: drained' /tmp/trauserve_router.log
-for p in $shard_pids; do
+drain_server "$router_pid" "$work/trauserve_router.log"
+for p in $surviving_shards; do
     kill -TERM "$p" 2>/dev/null || true
 done
-for p in $shard_pids; do
-    wait "$p" 2>/dev/null || true
+for p in $surviving_shards; do
+    reap "$p" || true
 done
-grep -q 'trauserve: drained' "/tmp/trauserve_shard_${s2##*:}.log"
-grep -q 'trauserve: drained' "/tmp/trauserve_shard_${s3##*:}.log"
+grep -q 'trauserve: drained' "$work/trauserve_shard_${s2##*:}.log"
+grep -q 'trauserve: drained' "$work/trauserve_shard_${s3##*:}.log"
 
 echo "==> perf smoke (non-gating)"
 # Re-run the Table 3 workload under the baseline's configuration and
@@ -348,10 +319,10 @@ echo "==> perf smoke (non-gating)"
 # change flagged by -compare) never fails the pipeline — it exists so
 # perf regressions are visible in the CI log the day they land.
 if go run ./cmd/benchtab -table 3 -loops 8 -timeout 5s \
-    -compare BENCH_BASELINE.json -tolerance 40 >/tmp/bench_compare.txt 2>&1; then
-    sed 's/^/    /' /tmp/bench_compare.txt
+    -compare BENCH_BASELINE.json -tolerance 40 >"$work/bench_compare.txt" 2>&1; then
+    sed 's/^/    /' "$work/bench_compare.txt"
 else
-    sed 's/^/    /' /tmp/bench_compare.txt
+    sed 's/^/    /' "$work/bench_compare.txt"
     echo "    perf smoke flagged drift (non-gating)"
 fi
 

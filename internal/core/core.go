@@ -4,8 +4,11 @@
 // Every SAT answer is validated against the concrete evaluator before
 // being reported (the validator of §9).
 //
-// The refinement loop can race the case-split branches of a round on
-// worker goroutines (Options.Parallel). The portfolio is deterministic:
+// Top-level disjunctions that contain a string atom or a string length
+// are case-split into conjunctive branches; any other pure-arithmetic
+// disjunction is one Arith after Prepare, which lia's DPLL(T) search
+// branches on instead. The refinement loop can race the case-split
+// branches of a round on worker goroutines (Options.Parallel). The portfolio is deterministic:
 // the winner is the lowest-indexed branch whose flattening is
 // satisfiable, exactly the branch the sequential scan would have
 // stopped at, so verdicts and models are identical run to run and
@@ -71,6 +74,9 @@ type Options struct {
 	// Parallel races the case-split branches of each refinement round
 	// on up to this many worker goroutines. Values <= 1 solve
 	// sequentially. The verdict and model are identical either way.
+	// Only disjunctions with a string atom or a string length split,
+	// so a problem whose disjunctions are all arithmetic over no
+	// string length has one branch and nothing to race.
 	Parallel int
 	// Incremental selects the refinement engine. The zero value
 	// (IncrementalOn) keeps one arithmetic solver session alive per

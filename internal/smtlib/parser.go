@@ -2,6 +2,7 @@ package smtlib
 
 import (
 	"fmt"
+	"math/big"
 	"strconv"
 	"strings"
 
@@ -153,7 +154,7 @@ func (t *translator) sortOf(n *node) string {
 		if s, ok := t.sorts[n.atom]; ok {
 			return s
 		}
-		if _, err := strconv.Atoi(n.atom); err == nil {
+		if _, ok := new(big.Int).SetString(n.atom, 10); ok {
 			return "Int"
 		}
 		return ""
@@ -512,8 +513,10 @@ func (t *translator) intExpr(n *node) (*lia.LinExpr, error) {
 		if v, ok := t.script.IntVars[n.atom]; ok {
 			return lia.V(v), nil
 		}
-		if k, err := strconv.ParseInt(n.atom, 10, 64); err == nil {
-			return lia.Const(k), nil
+		// lia is arbitrary precision, and Write prints constants past
+		// int64, so numerals are read at any size.
+		if k, ok := new(big.Int).SetString(n.atom, 10); ok {
+			return lia.ConstBig(k), nil
 		}
 		return nil, t.errf(n, "unknown integer symbol %q", n.atom)
 	}

@@ -1,10 +1,12 @@
 package smtlib
 
 import (
+	"math/big"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/lia"
 	"repro/internal/strcon"
@@ -177,6 +179,121 @@ func TestWriteRoundTrip(t *testing.T) {
 	}
 	if got := res.Model.Str[sc.StrVars["x"]]; strcon.ToNumValue(got).Int64() != 42 {
 		t.Fatalf("x = %q", got)
+	}
+}
+
+func TestWriteRoundTripBigNumerals(t *testing.T) {
+	twoTo63, _ := new(big.Int).SetString("9223372036854775808", 10)
+	tenTo20, _ := new(big.Int).SetString("100000000000000000000", 10)
+	for _, k := range []*big.Int{twoTo63, tenTo20} {
+		prob := strcon.NewProblem()
+		n := prob.NewIntVar("n")
+		prob.Add(&strcon.Arith{F: lia.Eq(lia.V(n), lia.ConstBig(k))})
+		src, err := Write(prob)
+		if err != nil {
+			t.Fatalf("write %v: %v", k, err)
+		}
+		sc, err := Parse(src)
+		if err != nil {
+			t.Fatalf("reparse %v: %v\n%s", k, err, src)
+		}
+		v := sc.IntVars["n"]
+		at := func(x *big.Int) bool {
+			return sc.Problem.Eval(&strcon.Assignment{Int: lia.Model{v: x}})
+		}
+		if !at(k) {
+			t.Errorf("n = %v does not satisfy the reparsed problem\n%s", k, src)
+		}
+		if at(new(big.Int).Sub(k, big.NewInt(1))) {
+			t.Errorf("n = %v - 1 satisfies the reparsed problem\n%s", k, src)
+		}
+	}
+}
+
+func TestParseBigNumeralUnsat(t *testing.T) {
+	res, _ := solveSrc(t, `(assert (< 9223372036854775808 0))(check-sat)`)
+	if res.Status != core.StatusUnsat {
+		t.Fatalf("got %v, want unsat", res.Status)
+	}
+}
+
+// requireOneBranch checks that a solve settled SAT as one conjunctive
+// branch with one over-approximation probe: Prepare folded every
+// pure-arithmetic disjunction into the formula lia branches on.
+func requireOneBranch(t *testing.T, res core.Result) {
+	t.Helper()
+	if res.Status != core.StatusSat {
+		t.Fatalf("got %v (%s), want sat", res.Status, res.Reason)
+	}
+	if got := res.Stats.Counter("branches"); got != 1 {
+		t.Errorf("branches = %d, want 1", got)
+	}
+	if got := res.Stats.Counter("cache.overapprox.miss"); got != 1 {
+		t.Errorf("cache.overapprox.miss = %d, want 1", got)
+	}
+}
+
+func TestLuhnThroughSMTLIBIsOneBranch(t *testing.T) {
+	src, err := Write(bench.Luhn(8).Build())
+	if err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	res, _ := solveSrc(t, src)
+	requireOneBranch(t, res)
+}
+
+func TestArithmeticIteIsOneBranch(t *testing.T) {
+	src := `
+(declare-fun x () String)
+(declare-const d Int)
+(declare-const e Int)
+(assert (= d (str.to_int x)))
+(assert (= (str.len x) 1))
+(assert (= e (ite (> (* 2 d) 9) (- (* 2 d) 9) (* 2 d))))
+(assert (= e 3))
+(check-sat)
+`
+	res, sc := solveSrc(t, src)
+	requireOneBranch(t, res)
+	// e = 3 requires 2d-9 = 3 (d=6), since 2d = 3 has no integer d.
+	if got := res.Model.Str[sc.StrVars["x"]]; got != "6" {
+		t.Fatalf("x = %q, want 6", got)
+	}
+}
+
+func TestLengthPinInDisjunctionKeepsExactRestriction(t *testing.T) {
+	// The only pin on |x| sits inside an or or an ite condition, and x
+	// must hold a non-periodic word longer than the first round's loop
+	// restriction can represent. Split on the length, each live branch
+	// gets the exact-length restriction and closes in round 1.
+	for name, src := range map[string]string{
+		"or": `
+(declare-fun x () String)
+(declare-fun y () String)
+(assert (or (= (str.len x) 9) (= (str.len x) 11)))
+(assert (= x (str.++ "abcdefgh" y)))
+(check-sat)
+`,
+		"ite": `
+(declare-fun x () String)
+(declare-fun y () String)
+(assert (= 1 (ite (= (str.len x) 12) 1 0)))
+(assert (= x (str.++ y "nopqrstuvwxy")))
+(check-sat)
+`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			res, sc := solveSrc(t, src)
+			if res.Status != core.StatusSat {
+				t.Fatalf("got %v (%s), want sat", res.Status, res.Reason)
+			}
+			if res.Rounds != 1 {
+				t.Errorf("rounds = %d, want 1", res.Rounds)
+			}
+			if got := res.Model.Str[sc.StrVars["x"]]; len(got) != 9 && len(got) != 11 && len(got) != 12 {
+				t.Errorf("x = %q has no pinned length", got)
+			}
+		})
 	}
 }
 

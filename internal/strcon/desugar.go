@@ -22,10 +22,13 @@ func (p *Problem) LenExpr(t Term) *lia.LinExpr {
 
 // Prepare rewrites the problem into the form the decision procedure
 // assumes: word disequalities are desugared into equalities plus
-// character constraints, and within each equality every string variable
+// character constraints, within each equality every string variable
 // occurs at most once (repeated occurrences are replaced by fresh
-// variables tied back with auxiliary equalities, cf. §7.2). Prepare is
-// idempotent.
+// variables tied back with auxiliary equalities, cf. §7.2), and every
+// conjunction or disjunction whose arguments are all arithmetic over no
+// string length becomes one Arith, so the arithmetic solver branches on
+// it inside one search instead of the core case-splitting it. Prepare
+// is idempotent.
 func (p *Problem) Prepare() {
 	var aux []Constraint
 	out := make([]Constraint, len(p.Constraints))
@@ -65,16 +68,60 @@ func (p *Problem) prepCon(c Constraint, aux *[]Constraint) Constraint {
 		for i, a := range t.Args {
 			args[i] = p.prepCon(a, aux)
 		}
+		if fs, ok := p.arithFormulas(args); ok {
+			return &Arith{F: lia.And(fs...)}
+		}
 		return &AndCon{Args: args}
 	case *OrCon:
 		args := make([]Constraint, len(t.Args))
 		for i, a := range t.Args {
 			args[i] = p.prepCon(a, aux)
 		}
+		if fs, ok := p.arithFormulas(args); ok {
+			return &Arith{F: lia.Or(fs...)}
+		}
 		return &OrCon{Args: args}
 	default:
 		return c
 	}
+}
+
+// arithFormulas returns the formulas of args when every argument is an
+// *Arith that constrains no string length; ok is false as soon as one
+// is not. A connective over lengths stays a case split: each branch's
+// own length pins choose its exact-length restrictions in flatten, and
+// folded into one formula those pins would be lost.
+func (p *Problem) arithFormulas(args []Constraint) (fs []lia.Formula, ok bool) {
+	fs = make([]lia.Formula, len(args))
+	for i, a := range args {
+		ar, isArith := a.(*Arith)
+		if !isArith || !p.lengthFree(ar.F) {
+			return nil, false
+		}
+		fs[i] = ar.F
+	}
+	return fs, true
+}
+
+// lengthFree reports whether no atom of f mentions a string length.
+func (p *Problem) lengthFree(f lia.Formula) bool {
+	switch t := f.(type) {
+	case *lia.Atom:
+		for _, lv := range p.lenVars {
+			if t.E.Coeff(lv).Sign() != 0 {
+				return false
+			}
+		}
+	case *lia.NAry:
+		for _, a := range t.Args {
+			if !p.lengthFree(a) {
+				return false
+			}
+		}
+	case *lia.Not:
+		return p.lengthFree(t.F)
+	}
+	return true
 }
 
 // dedupeEq ensures every variable occurs at most once across both sides

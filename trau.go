@@ -252,8 +252,11 @@ func IntGe(a, b IntExpr) Constraint { return Arith(lia.Ge(a, b)) }
 // IntGt returns a > b.
 func IntGt(a, b IntExpr) Constraint { return Arith(lia.Gt(a, b)) }
 
-// Or returns the disjunction of constraints (handled by constraint-
-// level case splitting in the decision procedure).
+// Or returns the disjunction of constraints. A disjunction of
+// arithmetic constraints over no string length becomes one arithmetic
+// formula that the integer solver branches on; one with a string atom
+// or a string length is handled by constraint-level case splitting in
+// the decision procedure.
 func Or(cs ...Constraint) Constraint { return &strcon.OrCon{Args: cs} }
 
 // And returns the conjunction of constraints.

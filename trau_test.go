@@ -69,6 +69,30 @@ func TestDisjunction(t *testing.T) {
 	}
 }
 
+func TestArithmeticOrIsOneBranch(t *testing.T) {
+	s := NewSolver()
+	x := s.StrVar("x")
+	n := s.IntVar("n")
+	s.Require(ToNum(n, x))
+	s.Require(Or(IntEq(IntVal(n), IntConst(7)), IntEq(IntVal(n), IntConst(12))))
+	s.Require(LenEq(s.Len(x), IntConst(2)))
+	res := s.Solve()
+	if res.Status != StatusSat {
+		t.Fatalf("got %v, want sat", res.Status)
+	}
+	if got := res.StrValue(x); got != "07" && got != "12" {
+		t.Fatalf("x = %q, want 07 or 12", got)
+	}
+	// The disjunction is one arithmetic formula: no case split, one
+	// over-approximation probe.
+	if got := res.Stats().Counter("branches"); got != 1 {
+		t.Errorf("branches = %d, want 1", got)
+	}
+	if got := res.Stats().Counter("cache.overapprox.miss"); got != 1 {
+		t.Errorf("cache.overapprox.miss = %d, want 1", got)
+	}
+}
+
 func TestNotInRegex(t *testing.T) {
 	s := NewSolver()
 	x := s.StrVar("x")
