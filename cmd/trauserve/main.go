@@ -5,8 +5,7 @@
 // Usage:
 //
 //	trauserve [-addr 127.0.0.1:8080] [-workers N] [-queue N] [-cache N]
-//	          [-timeout d] [-max-timeout d] [-parallel N]
-//	          [-incremental=false] [-drain d]
+//	          [-timeout d] [-max-timeout d] [-drain d]
 //	          [-membudget N] [-tenantbudget N [-tenantrefill N]]
 //	          [-faultseed N] [-netfault k:op]
 //	          [-portfolio [-backends refine,enum,...]]
@@ -43,7 +42,6 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/server"
 )
@@ -67,8 +65,6 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 	timeout := fs.Duration("timeout", 5*time.Second, "default per-request solve budget")
 	maxTimeout := fs.Duration("max-timeout", 30*time.Second, "largest per-request budget a client may ask for")
 	maxBody := fs.Int64("max-body", 1<<20, "largest accepted request body in bytes")
-	parallel := fs.Int("parallel", 1, "case-split branch workers per solve")
-	incremental := fs.Bool("incremental", true, "reuse solver sessions across refinement rounds")
 	drain := fs.Duration("drain", 30*time.Second, "how long shutdown waits for in-flight solves")
 	memBudget := fs.Int64("membudget", 0, "resource-governor budget units per solve (0 = unlimited)")
 	tenantBudget := fs.Int64("tenantbudget", 0, "shared budget-pool units per tenant (X-Tenant header; 0 = unlimited)")
@@ -86,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 		return 2
 	}
 	if fs.NArg() != 0 {
-		fmt.Fprintln(stderr, "usage: trauserve [-addr host:port] [-workers n] [-queue n] [-cache n] [-timeout d] [-max-timeout d] [-parallel n] [-incremental=false] [-drain d] [-membudget n] [-tenantbudget n [-tenantrefill n]] [-faultseed n] [-netfault k:op] [-portfolio [-backends a,b]] [-shards a,b [-self a]] [-router [-shards a,b] [-hedge d] [-probe d]]")
+		fmt.Fprintln(stderr, "usage: trauserve [-addr host:port] [-workers n] [-queue n] [-cache n] [-timeout d] [-max-timeout d] [-drain d] [-membudget n] [-tenantbudget n [-tenantrefill n]] [-faultseed n] [-netfault k:op] [-portfolio [-backends a,b]] [-shards a,b [-self a]] [-router [-shards a,b] [-hedge d] [-probe d]]")
 		return 2
 	}
 	if *backends != "" && !*usePortfolio {
@@ -117,10 +113,6 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 		return 2
 	}
 
-	mode := core.IncrementalOn
-	if !*incremental {
-		mode = core.IncrementalOff
-	}
 	srv := server.New(server.Config{
 		Workers:         *workers,
 		QueueDepth:      *queue,
@@ -128,7 +120,6 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 		DefaultTimeout:  *timeout,
 		MaxTimeout:      *maxTimeout,
 		MaxRequestBytes: *maxBody,
-		Solve:           core.Options{Parallel: *parallel, Incremental: mode},
 		Portfolio:       *usePortfolio,
 		Backends:        pool,
 		MemBudget:       *memBudget,

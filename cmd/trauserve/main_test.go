@@ -36,8 +36,12 @@ func TestRunUsageError(t *testing.T) {
 	if code := run([]string{"stray-arg"}, &out, &errOut, nil); code != 2 {
 		t.Fatalf("run with stray argument = %d, want 2", code)
 	}
-	if code := run([]string{"-no-such-flag"}, &out, &errOut, nil); code != 2 {
-		t.Fatalf("run with unknown flag = %d, want 2", code)
+	// The unlistenable address makes a run that parsed its flags exit 1
+	// instead of serving.
+	for _, flag := range []string{"-no-such-flag", "-parallel=2", "-incremental=false"} {
+		if code := run([]string{flag, "-addr", "256.256.256.256:0"}, &out, &errOut, nil); code != 2 {
+			t.Fatalf("run with %s = %d, want 2", flag, code)
+		}
 	}
 }
 

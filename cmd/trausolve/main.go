@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	trausolve [-timeout 10s] [-model] [-stats] [-parallel N] file.smt2
+//	trausolve [-timeout 10s] [-model] [-stats] file.smt2
 //	trausolve -portfolio [-backends refine,enum] file.smt2
 //	trausolve -            # read from stdin
 package main
@@ -38,8 +38,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	timeout := fs.Duration("timeout", 10*time.Second, "solver budget")
 	model := fs.Bool("model", true, "print the model on sat")
 	stats := fs.Bool("stats", false, "print the solve statistics tree")
-	parallel := fs.Int("parallel", 1, "case-split branch workers per round")
-	incremental := fs.Bool("incremental", true, "reuse solver sessions across refinement rounds")
 	usePortfolio := fs.Bool("portfolio", false, "race scheduled backends from the registry instead of one engine")
 	backends := fs.String("backends", "", "comma-separated backend subset for -portfolio (default: the whole registry)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -48,7 +46,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: trausolve [-timeout d] [-model] [-stats] [-parallel n] [-incremental=false] [-portfolio [-backends a,b]] file.smt2 | -")
+		fmt.Fprintln(stderr, "usage: trausolve [-timeout d] [-model] [-stats] [-portfolio [-backends a,b]] file.smt2 | -")
 		return 2
 	}
 	if *backends != "" && !*usePortfolio {
@@ -110,16 +108,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "trausolve: script has no (check-sat)")
 		return 2
 	}
-	mode := core.IncrementalOn
-	if !*incremental {
-		mode = core.IncrementalOff
-	}
 	var res core.Result
 	if *usePortfolio {
 		res = portfolio.New(portfolio.Config{Backends: pool}).
-			Solve(script.Problem, backend.Options{Parallel: *parallel}, engine.WithTimeout(*timeout))
+			Solve(script.Problem, backend.Options{}, engine.WithTimeout(*timeout))
 	} else {
-		res = core.Solve(script.Problem, core.Options{Timeout: *timeout, Parallel: *parallel, Incremental: mode})
+		res = core.Solve(script.Problem, core.Options{Timeout: *timeout})
 	}
 	fmt.Fprintln(stdout, res.Status)
 	if *usePortfolio && res.Backend != "" && res.Backend != "portfolio" {

@@ -19,12 +19,8 @@ import (
 )
 
 // Options configure one Solve call, engine-independently. Fields a
-// backend cannot honor are ignored (the baselines have no rounds and
-// no branch parallelism).
+// backend cannot honor are ignored (the baselines have no rounds).
 type Options struct {
-	// Parallel races case-split branches inside a refinement backend on
-	// up to this many workers; values <= 1 solve sequentially.
-	Parallel int
 	// MaxRounds bounds under-approximation refinement rounds (0 =
 	// engine default).
 	MaxRounds int
@@ -71,7 +67,6 @@ func (b *coreBackend) Caps() Caps   { return b.caps }
 
 func (b *coreBackend) Solve(prob *strcon.Problem, opts Options, ec *engine.Ctx) core.Result {
 	res := core.SolveCtx(prob, core.Options{
-		Parallel:       opts.Parallel,
 		MaxRounds:      opts.MaxRounds,
 		Incremental:    b.mode,
 		OverApproxOnly: b.overOnly,

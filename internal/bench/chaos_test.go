@@ -46,40 +46,37 @@ func TestChaosInjectionSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep is slow; skipped with -short")
 	}
+	opts := core.Options{MaxRounds: 6}
 	for _, inst := range chaosInstances() {
-		for _, parallel := range []int{1, 2} {
-			opts := core.Options{MaxRounds: 6, Parallel: parallel}
+		counting := fault.Counting()
+		ec := engine.Background()
+		ec.SetSchedule(counting)
+		baseline := core.SolveCtx(inst.Build(), opts, ec)
+		if inst.Expected == ExpectSat && baseline.Status != core.StatusSat ||
+			inst.Expected == ExpectUnsat && baseline.Status != core.StatusUnsat {
+			t.Fatalf("%s: baseline = %v, want %v", inst.Name, baseline.Status, inst.Expected)
+		}
+		n := counting.Visits()
+		if n == 0 {
+			t.Fatalf("%s: counting pass saw no injectable sites", inst.Name)
+		}
 
-			counting := fault.Counting()
-			ec := engine.Background()
-			ec.SetSchedule(counting)
-			baseline := core.SolveCtx(inst.Build(), opts, ec)
-			if inst.Expected == ExpectSat && baseline.Status != core.StatusSat ||
-				inst.Expected == ExpectUnsat && baseline.Status != core.StatusUnsat {
-				t.Fatalf("%s: baseline = %v, want %v", inst.Name, baseline.Status, inst.Expected)
-			}
-			n := counting.Visits()
-			if n == 0 {
-				t.Fatalf("%s: counting pass saw no injectable sites", inst.Name)
-			}
-
-			for _, k := range []uint64{1, n/2 + 1, n} {
-				for _, op := range []fault.Op{fault.OpPanic, fault.OpCancel, fault.OpBudget} {
-					before := fault.Snapshot()
-					sched := fault.At(k, op)
-					ec := engine.Background()
-					ec.SetSchedule(sched)
-					res := core.SolveCtx(inst.Build(), opts, ec)
-					if res.Status != core.StatusUnknown && res.Status != baseline.Status {
-						t.Errorf("%s parallel=%d inject %v@%d: verdict flipped %v -> %v",
-							inst.Name, parallel, op, k, baseline.Status, res.Status)
-					}
-					if res.Status == core.StatusUnknown && res.Reason == "" {
-						t.Errorf("%s parallel=%d inject %v@%d: unknown verdict with no reason",
-							inst.Name, parallel, op, k)
-					}
-					fault.CheckLeaks(t, before)
+		for _, k := range []uint64{1, n/2 + 1, n} {
+			for _, op := range []fault.Op{fault.OpPanic, fault.OpCancel, fault.OpBudget} {
+				before := fault.Snapshot()
+				sched := fault.At(k, op)
+				ec := engine.Background()
+				ec.SetSchedule(sched)
+				res := core.SolveCtx(inst.Build(), opts, ec)
+				if res.Status != core.StatusUnknown && res.Status != baseline.Status {
+					t.Errorf("%s inject %v@%d: verdict flipped %v -> %v",
+						inst.Name, op, k, baseline.Status, res.Status)
 				}
+				if res.Status == core.StatusUnknown && res.Reason == "" {
+					t.Errorf("%s inject %v@%d: unknown verdict with no reason",
+						inst.Name, op, k)
+				}
+				fault.CheckLeaks(t, before)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/simplex"
+	"repro/internal/strcon"
 )
 
 // solveForced runs one instance with the simplex fast path forced off
@@ -13,7 +14,7 @@ import (
 func solveForced(inst *Instance, slow bool) (core.Result, bool) {
 	simplex.ForceSlowPath = slow
 	defer func() { simplex.ForceSlowPath = false }()
-	return solveMode(inst, core.IncrementalOn, 1)
+	return solveMode(inst, core.IncrementalOn)
 }
 
 // TestFastPathSlowPathAgreement is the differential gate for the int64
@@ -53,4 +54,30 @@ func TestFastPathSlowPathAgreement(t *testing.T) {
 			}
 		})
 	}
+}
+
+// modelsEqual compares the string parts and the integer parts of two
+// assignments.
+func modelsEqual(a, b *strcon.Assignment) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if len(a.Str) != len(b.Str) {
+		return false
+	}
+	for v, s := range a.Str {
+		if b.Str[v] != s {
+			return false
+		}
+	}
+	if len(a.Int) != len(b.Int) {
+		return false
+	}
+	for v, x := range a.Int {
+		y, ok := b.Int[v]
+		if !ok || x.Cmp(y) != 0 {
+			return false
+		}
+	}
+	return true
 }

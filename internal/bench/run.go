@@ -22,13 +22,6 @@ type Solver struct {
 	Run  func(prob *strcon.Problem, ec *engine.Ctx) core.Status
 }
 
-// Config selects how the solvers under comparison are configured.
-type Config struct {
-	// Incremental toggles the incremental refinement engine of the
-	// refine solver (the baselines are unaffected).
-	Incremental bool
-}
-
 // FromBackend adapts a registry backend (or the portfolio solver) to a
 // comparison row. This is the only bridge between the registry and the
 // bench tables — the per-solver closures the package used to rebuild
@@ -39,26 +32,16 @@ func FromBackend(b backend.Backend, opts backend.Options) Solver {
 	}}
 }
 
-// Solvers returns the engines of the evaluation with the default
-// configuration (incremental engine on).
-func Solvers() []Solver {
-	return SolversWith(Config{Incremental: true})
-}
-
-// SolversWith returns the engines of the evaluation: the paper's
+// Solvers returns the engines of the evaluation: the paper's
 // refinement solver (Z3-Trau reproduction), the two baseline families
 // standing in for the closed competitor tools (see package doc of
 // internal/baseline), and the portfolio racing the whole registry —
 // all resolved from the backend registry. The portfolio row carries
 // fresh scheduling state per call, so repeated table runs start from
 // the same unbiased schedule.
-func SolversWith(cfg Config) []Solver {
-	refine := "refine"
-	if !cfg.Incremental {
-		refine = "refine-fresh"
-	}
+func Solvers() []Solver {
 	out := make([]Solver, 0, 4)
-	for _, name := range []string{refine, "enum", "split"} {
+	for _, name := range []string{"refine", "enum", "split"} {
 		b, ok := backend.Get(name)
 		if !ok {
 			panic("bench: backend missing from registry: " + name) // contract: registry is fixed
@@ -141,19 +124,16 @@ func (a Agg) Cell() string {
 type instResult struct {
 	status    core.Status
 	timedOut  bool
-	elapsed   time.Duration
 	rounds    int64
 	conflicts int64
 	pivots    int64
 }
 
 // SuiteResult is the full outcome of running one suite through one
-// solver: the status counters, the aggregate solver statistics, and the
-// per-instance wall-clock times (index-aligned with the instances).
+// solver: the status counters and the aggregate solver statistics.
 type SuiteResult struct {
 	Counts Counts
 	Agg    Agg
-	Times  []time.Duration
 }
 
 // RunSuite runs every instance of a suite through one solver, on up to
@@ -165,13 +145,11 @@ func RunSuite(insts []*Instance, solver Solver, timeout time.Duration, workers i
 	results := make([]instResult, len(insts))
 	run1 := func(i int) {
 		ec := engine.WithTimeout(timeout)
-		start := time.Now()
 		status := solver.Run(insts[i].Build(), ec)
 		st := ec.Stats()
 		results[i] = instResult{
 			status:    status,
 			timedOut:  ec.TimedOut(),
-			elapsed:   time.Since(start),
 			rounds:    st.Total("rounds"),
 			conflicts: st.Total("conflicts"),
 			pivots:    st.Total("pivots"),
@@ -205,7 +183,6 @@ func RunSuite(insts []*Instance, solver Solver, timeout time.Duration, workers i
 
 	var c Counts
 	var agg Agg
-	times := make([]time.Duration, len(insts))
 	for i, inst := range insts {
 		r := results[i]
 		switch r.status {
@@ -228,7 +205,6 @@ func RunSuite(insts []*Instance, solver Solver, timeout time.Duration, workers i
 				c.Unknown++
 			}
 		}
-		times[i] = r.elapsed
 		if r.timedOut {
 			// A timed-out run's counters reflect wherever the deadline
 			// happened to land, which would make the aggregate row vary
@@ -241,7 +217,7 @@ func RunSuite(insts []*Instance, solver Solver, timeout time.Duration, workers i
 		agg.Conflicts += r.conflicts
 		agg.Pivots += r.pivots
 	}
-	return SuiteResult{Counts: c, Agg: agg, Times: times}
+	return SuiteResult{Counts: c, Agg: agg}
 }
 
 // Table runs all suites against all solvers and renders the result in

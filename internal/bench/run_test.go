@@ -12,26 +12,36 @@ import (
 
 // TestTimeoutClassification pins the TIMEOUT/UNKNOWN split: an instance
 // is a TIMEOUT only when its context actually expired, never merely
-// because the solver gave up.
+// because the solver gave up. The statistics means cover the finished
+// runs only, since a timed-out run's counters depend on machine load.
 func TestTimeoutClassification(t *testing.T) {
 	insts := Table1Suites(2)[0].Instances
+	n := int64(len(insts))
 
-	giveUp := Solver{Name: "give-up", Run: func(_ *strcon.Problem, _ *engine.Ctx) core.Status {
+	giveUp := Solver{Name: "give-up", Run: func(_ *strcon.Problem, ec *engine.Ctx) core.Status {
+		ec.Stats().Add("rounds", 4)
 		return core.StatusUnknown
 	}}
-	c := RunSuite(insts, giveUp, time.Minute, 1).Counts
-	if c.Timeout != 0 || c.Unknown != len(insts) {
+	r := RunSuite(insts, giveUp, time.Minute, 1)
+	if c := r.Counts; c.Timeout != 0 || c.Unknown != len(insts) {
 		t.Fatalf("instant unknowns classified as %+v, want all UNKNOWN", c)
+	}
+	if r.Agg.Instances != n || r.Agg.Rounds != 4*n {
+		t.Fatalf("finished runs aggregated as %+v, want %d instances of 4 rounds", r.Agg, n)
 	}
 
 	spin := Solver{Name: "spin", Run: func(_ *strcon.Problem, ec *engine.Ctx) core.Status {
+		ec.Stats().Add("rounds", 4)
 		for !ec.Poll() {
 		}
 		return core.StatusUnknown
 	}}
-	c = RunSuite(insts, spin, 30*time.Millisecond, 1).Counts
-	if c.Unknown != 0 || c.Timeout != len(insts) {
+	r = RunSuite(insts, spin, 30*time.Millisecond, 1)
+	if c := r.Counts; c.Unknown != 0 || c.Timeout != len(insts) {
 		t.Fatalf("deadline-bound unknowns classified as %+v, want all TIMEOUT", c)
+	}
+	if r.Agg != (Agg{}) {
+		t.Fatalf("timed-out runs aggregated as %+v, want none", r.Agg)
 	}
 }
 

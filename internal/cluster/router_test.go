@@ -398,9 +398,25 @@ func TestRouterDrainingRejects(t *testing.T) {
 // counters plus one entry per shard with breaker state and the shard's
 // own stats embedded when reachable.
 func TestRouterStatsAggregation(t *testing.T) {
-	shards, _, front := startTestCluster(t, 3, nil)
+	shards, rt, front := startTestCluster(t, 3, nil)
 	if _, code := postVia(t, front.URL, "/solve", `{"q":1}`); code != http.StatusOK {
 		t.Fatalf("warmup solve answered %d", code)
+	}
+	// A shard's stats are fetched only once a probe has found it
+	// healthy, and the startup probes run concurrently with the test.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		probed := 0
+		for _, sh := range rt.Snapshot(false).Shards {
+			if sh.ProbesOK > 0 {
+				probed++
+			}
+		}
+		if probed == len(shards) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d shards probed healthy after 10s", probed, len(shards))
+		}
 	}
 	resp, err := http.Get(front.URL + "/stats")
 	if err != nil {

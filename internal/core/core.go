@@ -7,19 +7,13 @@
 // Top-level disjunctions that contain a string atom or a string length
 // are case-split into conjunctive branches; any other pure-arithmetic
 // disjunction is one Arith after Prepare, which lia's DPLL(T) search
-// branches on instead. The refinement loop can race the case-split
-// branches of a round on worker goroutines (Options.Parallel). The portfolio is deterministic:
-// the winner is the lowest-indexed branch whose flattening is
-// satisfiable, exactly the branch the sequential scan would have
-// stopped at, so verdicts and models are identical run to run and
-// identical between the sequential and parallel modes.
+// branches on instead. Each refinement round scans the branches in
+// order and stops at the first whose flattening is satisfiable, so
+// verdicts and models are identical run to run.
 package core
 
 import (
 	"fmt"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
@@ -71,13 +65,6 @@ type Options struct {
 	// with reason "rounds exhausted". This is the cheap refutation-only
 	// engine the portfolio races alongside the refinement loop.
 	OverApproxOnly bool
-	// Parallel races the case-split branches of each refinement round
-	// on up to this many worker goroutines. Values <= 1 solve
-	// sequentially. The verdict and model are identical either way.
-	// Only disjunctions with a string atom or a string length split,
-	// so a problem whose disjunctions are all arithmetic over no
-	// string length has one branch and nothing to race.
-	Parallel int
 	// Incremental selects the refinement engine. The zero value
 	// (IncrementalOn) keeps one arithmetic solver session alive per
 	// case-split branch, so round r+1 reuses round r's learned
@@ -115,8 +102,8 @@ type Result struct {
 	// "cancelled", "budget: <site>", "panic: <value>", "validation
 	// failed", or "rounds exhausted". Empty for SAT/UNSAT.
 	Reason string
-	// Fault is the diagnostic of a panic contained at the solve or
-	// branch boundary; nil when nothing panicked.
+	// Fault is the diagnostic of a panic contained at the solve
+	// boundary; nil when nothing panicked.
 	Fault *fault.Diagnostic
 	// Backend names the engine that produced the verdict when the solve
 	// went through the backend registry or the portfolio scheduler;
@@ -137,9 +124,7 @@ func Solve(prob *strcon.Problem, opts Options) Result {
 //
 // SolveCtx is a panic boundary: a contract panic anywhere in the
 // solver degrades this one solve to UNKNOWN with a Fault diagnostic
-// instead of killing the process (parallel branch goroutines have
-// their own boundary in raceBranches — a goroutine panic would bypass
-// this one).
+// instead of killing the process.
 func SolveCtx(prob *strcon.Problem, opts Options, ec *engine.Ctx) Result {
 	if ec == nil {
 		ec = engine.Background()
@@ -161,43 +146,13 @@ func solveCtx(prob *strcon.Problem, opts Options, ec *engine.Ctx) Result {
 	original := prob.Constraints
 
 	// abstractUnsat checks a constraint set with the over-approximation.
-	// The branch enumeration of splitBranches probes heavily overlapping
-	// constraint sets (shared prefixes plus one candidate conjunct), so
-	// results are memoized per solve, keyed by the canonical identity of
-	// the slice. All callers run on the solve goroutine.
-	memo := make(map[string]bool)
-	memoID := make(map[strcon.Constraint]int)
-	memoKey := func(cons []strcon.Constraint) string {
-		// Constraint objects are shared across the enumeration, so a
-		// per-solve identity numbering (first-seen order, which is
-		// deterministic) canonicalizes a slice cheaply.
-		key := make([]byte, 0, 4*len(cons))
-		for _, c := range cons {
-			id, ok := memoID[c]
-			if !ok {
-				id = len(memoID)
-				memoID[c] = id
-			}
-			key = strconv.AppendInt(key, int64(id), 32)
-			key = append(key, '.')
-		}
-		return string(key)
-	}
 	abstractUnsat := func(cons []strcon.Constraint) bool {
-		key := memoKey(cons)
-		if v, ok := memo[key]; ok {
-			st.Add("cache.overapprox.hit", 1)
-			return v
-		}
-		st.Add("cache.overapprox.miss", 1)
 		oa := overapprox.Abstract(prob, cons, ec)
 		o := opts.Lia
 		o.Ctx = ec
 		o.OnModel = oa.OnModel
 		res, _ := lia.Solve(oa.Formula, &o)
-		v := res == lia.ResUnsat
-		memo[key] = v
-		return v
+		return res == lia.ResUnsat
 	}
 
 	if !opts.SkipOverApprox && abstractUnsat(original) {
@@ -213,9 +168,7 @@ func solveCtx(prob *strcon.Problem, opts Options, ec *engine.Ctx) Result {
 	st.Add("branches", int64(len(branches)))
 	if len(branches) == 0 {
 		if truncated || opts.SkipOverApprox {
-			r := Result{Status: StatusUnknown, Stats: st}
-			r.Reason = unknownReason(ec, &r)
-			return r
+			return Result{Status: StatusUnknown, Reason: UnknownReason(ec), Stats: st}
 		}
 		// Every branch refuted by a sound over-approximation.
 		return Result{Status: StatusUnsat, OverApproxDecided: true, Stats: st}
@@ -233,9 +186,7 @@ func solveCtx(prob *strcon.Problem, opts Options, ec *engine.Ctx) Result {
 	if opts.OverApproxOnly {
 		// The abstraction could not refute every branch; refinement is
 		// someone else's job (the portfolio races a refining backend).
-		r := Result{Status: StatusUnknown, Stats: st}
-		r.Reason = unknownReason(ec, &r)
-		return r
+		return Result{Status: StatusUnknown, Reason: UnknownReason(ec), Stats: st}
 	}
 
 	states := make([]*branchState, len(branches))
@@ -251,17 +202,7 @@ func solveCtx(prob *strcon.Problem, opts Options, ec *engine.Ctx) Result {
 		out.Rounds = round + 1
 		st.Add("rounds", 1)
 		roundCtx := ec.Child(fmt.Sprintf("round%d", round))
-		var win *branchOutcome
-		if opts.Parallel > 1 && len(branches) > 1 {
-			var bf *fault.Diagnostic
-			win, bf = raceBranches(prob, states, params, opts, roundCtx)
-			if bf != nil && out.Fault == nil {
-				out.Fault = bf
-			}
-		} else {
-			win = runBranchesSeq(prob, states, params, opts, roundCtx)
-		}
-		if win != nil {
+		if win := runBranches(prob, states, params, opts, roundCtx); win != nil {
 			if win.validated {
 				out.Status = StatusSat
 				out.Model = win.model
@@ -273,26 +214,17 @@ func solveCtx(prob *strcon.Problem, opts Options, ec *engine.Ctx) Result {
 		}
 		params = params.Refine()
 	}
-	out.Reason = unknownReason(ec, &out)
+	out.Reason = UnknownReason(ec)
 	return out
 }
 
-// UnknownReason classifies an UNKNOWN verdict for a context-driven
-// engine with no richer result state: the standard taxonomy minus the
-// result-only causes (validation failure, contained panic). Backends
-// wrapping the baseline solvers use it so their UNKNOWNs speak the
-// same language as the core's.
+// UnknownReason classifies an UNKNOWN verdict by why the solve gave
+// up, in decreasing order of specificity: the standard taxonomy minus
+// the result-only causes (validation failure, contained panic), which
+// their callers report themselves. Backends wrapping the baseline
+// solvers use it so their UNKNOWNs speak the same language as the
+// core's.
 func UnknownReason(ec *engine.Ctx) string {
-	var r Result
-	return unknownReason(ec, &r)
-}
-
-// unknownReason classifies an UNKNOWN verdict by why the solve gave
-// up, in decreasing order of specificity.
-func unknownReason(ec *engine.Ctx, r *Result) string {
-	if r.ValidationFailed {
-		return "validation failed"
-	}
 	switch ec.Cause() {
 	case engine.CauseBudget:
 		if br := ec.BudgetReason(); br != "" {
@@ -303,9 +235,6 @@ func unknownReason(ec *engine.Ctx, r *Result) string {
 		return "deadline"
 	case engine.CauseCancelled:
 		return "cancelled"
-	}
-	if r.Fault != nil {
-		return "panic: " + r.Fault.Value
 	}
 	return "rounds exhausted"
 }
@@ -322,7 +251,7 @@ type branchState struct {
 
 // branchOutcome is the result of flattening and solving one case-split
 // branch at one parameter level. hit reports that the flattening was
-// satisfiable (the sequential scan stops there, validated or not).
+// satisfiable (the scan stops there, validated or not).
 type branchOutcome struct {
 	hit       bool
 	validated bool
@@ -330,9 +259,9 @@ type branchOutcome struct {
 }
 
 // solveBranch flattens one branch on a private clone of the problem
-// (its own lia pool, so concurrent branches allocate identically
-// numbered variables) and validates any model against the full original
-// problem.
+// (its own lia pool, so no flattening allocates variables in the shared
+// problem or in another branch) and validates any model against the
+// full original problem.
 //
 // With the incremental engine the clone and the arithmetic session
 // persist on the branch state across rounds: the flattening of round
@@ -383,9 +312,9 @@ func solveBranch(prob *strcon.Problem, bs *branchState,
 	return branchOutcome{hit: true}
 }
 
-// runBranchesSeq scans the branches in order and returns the first hit,
+// runBranches scans the branches in order and returns the first hit,
 // or nil when the whole round comes up dry.
-func runBranchesSeq(prob *strcon.Problem, states []*branchState,
+func runBranches(prob *strcon.Problem, states []*branchState,
 	params flatten.Params, opts Options, ec *engine.Ctx) *branchOutcome {
 	for i, bs := range states {
 		if ec.Expired() {
@@ -397,84 +326,6 @@ func runBranchesSeq(prob *strcon.Problem, states []*branchState,
 		}
 	}
 	return nil
-}
-
-// raceBranches solves the branches of one round concurrently on up to
-// opts.Parallel workers. Each branch gets a child context; when branch
-// i hits, every sibling with a higher index is cancelled (their results
-// can no longer matter), while lower-indexed branches run to completion
-// so the final winner — the lowest-indexed hit — is exactly the branch
-// the sequential scan would have returned.
-func raceBranches(prob *strcon.Problem, states []*branchState,
-	params flatten.Params, opts Options, ec *engine.Ctx) (*branchOutcome, *fault.Diagnostic) {
-	n := len(states)
-	workers := opts.Parallel
-	if workers > n {
-		workers = n
-	}
-	attempts := make([]*engine.Ctx, n)
-	for i := range attempts {
-		attempts[i] = ec.Child(fmt.Sprintf("branch%d", i))
-	}
-	results := make([]branchOutcome, n)
-	var next atomic.Int64
-	var mu sync.Mutex
-	winner := n
-	var firstFault *fault.Diagnostic
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				mu.Lock()
-				dead := i > winner
-				mu.Unlock()
-				if dead {
-					continue
-				}
-				// Panic boundary: a goroutine panic would bypass the
-				// recover in SolveCtx and kill the process. A crashed
-				// branch counts as no-hit — it can only push the final
-				// verdict toward UNKNOWN, never flip it.
-				var out branchOutcome
-				if d := fault.Contain("core.branch", func() {
-					out = solveBranch(prob, states[i], params, opts, attempts[i])
-				}); d != nil {
-					ec.Stats().Add("fault.contained", 1)
-					mu.Lock()
-					if firstFault == nil {
-						firstFault = d
-					}
-					mu.Unlock()
-					continue
-				}
-				results[i] = out
-				if !out.hit {
-					continue
-				}
-				mu.Lock()
-				if i < winner {
-					winner = i
-					for j := i + 1; j < n; j++ {
-						attempts[j].Cancel()
-					}
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	for i := range results {
-		if results[i].hit {
-			return &results[i], firstFault
-		}
-	}
-	return nil, firstFault
 }
 
 // maxBranches bounds the case-split enumeration.

@@ -6,9 +6,8 @@
 //
 // A Ctx forms a tree: Child contexts observe the parent's cancellation
 // and deadline, while cancelling a child leaves the parent (and the
-// child's siblings) running. That asymmetry is what lets the parallel
-// portfolio core race independent case-split branches and cancel the
-// losers. All Ctx and Stats methods are safe on a nil receiver (a nil
+// child's siblings) running. That asymmetry is what lets the portfolio
+// race independent backends and cancel the losers. All Ctx and Stats methods are safe on a nil receiver (a nil
 // Ctx never expires, a nil Stats records nothing) and safe for
 // concurrent use.
 package engine

@@ -32,7 +32,7 @@ type Diagnostic struct {
 	// in error responses so a log line can be found from a client.
 	ID string `json:"id"`
 	// Boundary names the Contain call that recovered the panic
-	// ("core.Solve", "core.branch", "server.worker").
+	// ("core.Solve", "portfolio.race", "server.worker").
 	Boundary string `json:"boundary"`
 	// Value is the rendered panic value.
 	Value string `json:"value"`
@@ -70,8 +70,8 @@ func InjectPanic() {
 // Contain runs fn and recovers any panic, returning a Diagnostic for
 // it (nil when fn returns normally). It is the trust boundary between
 // the solver internals — which may contract-panic on a bug — and the
-// layers that must keep running: the top-level solve, each parallel
-// case-split branch, and each server worker.
+// layers that must keep running: the top-level solve, each portfolio
+// attempt, and each server worker.
 func Contain(boundary string, fn func()) (d *Diagnostic) {
 	defer func() {
 		if v := recover(); v != nil {

@@ -38,9 +38,6 @@ type Options struct {
 	// tree the search records into. A stopped context aborts the search
 	// with ResUnknown.
 	Ctx *engine.Ctx
-	// MaxIterations is retained for compatibility; the online engine
-	// does not use it.
-	MaxIterations int
 	// SatConflictBudget bounds conflicts per SAT call.
 	SatConflictBudget int64
 	// BBNodeBudget bounds branch-and-bound nodes per final check.

@@ -98,8 +98,7 @@ func (s *Solver) solve(prob *strcon.Problem, opts backend.Options, ec *engine.Ct
 	stop := st.Time("time.schedule")
 	// Prepare once on the caller's goroutine: resolving the membership
 	// automata up front is what makes the constraint values safe to
-	// share across the concurrently racing clones (same rule as the
-	// core's parallel branches).
+	// share across the concurrently racing clones.
 	prob.Prepare()
 	f := Extract(prob)
 	bucket := f.Bucket()

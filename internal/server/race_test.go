@@ -133,6 +133,6 @@ func TestServerConcurrentMixedLoad(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown after load: %v", err)
 	}
-	// Workers, FromContext watchers, and branch racers must all be gone.
+	// Workers and FromContext watchers must all be gone.
 	fault.CheckLeaks(t, before)
 }

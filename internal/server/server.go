@@ -42,9 +42,6 @@ type Config struct {
 	// MaxBatchBytes bounds a POST /batch body (default 16 MiB).
 	MaxRequestBytes int64
 	MaxBatchBytes   int64
-	// Solve configures the engine (parallel case splits, incremental
-	// mode). Timeout inside it is ignored — deadlines are per request.
-	Solve core.Options
 	// Portfolio routes solves through the racing portfolio scheduler
 	// instead of the single refinement engine. Backends selects its
 	// candidate pool (nil = the whole backend registry); it is ignored
@@ -120,7 +117,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 256
 	}
-	c.Solve.Timeout = 0
 	return c
 }
 
@@ -813,12 +809,9 @@ func (s *Server) runJob(j *job) {
 			}
 			res = core.Result{Status: core.StatusUnknown, Reason: reason}
 		} else if s.portfolio != nil {
-			res = s.portfolio.Solve(j.script.Problem, backend.Options{
-				Parallel:  s.cfg.Solve.Parallel,
-				MaxRounds: s.cfg.Solve.MaxRounds,
-			}, ec)
+			res = s.portfolio.Solve(j.script.Problem, backend.Options{}, ec)
 		} else {
-			res = core.SolveCtx(j.script.Problem, s.cfg.Solve, ec)
+			res = core.SolveCtx(j.script.Problem, core.Options{}, ec)
 		}
 	})
 	if d != nil {

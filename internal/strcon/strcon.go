@@ -207,9 +207,9 @@ func (p *Problem) Add(cs ...Constraint) {
 // WithConstraints returns an independent copy of the problem carrying
 // the given constraint slice. The clone owns its own lia pool and
 // length-variable map, so flattening one clone never perturbs variable
-// numbering in another — the property the parallel portfolio core
-// relies on to keep concurrent case-split branches deterministic.
-// Constraint values themselves are shared (they are never mutated after
+// numbering in another — the property the refinement loop's per-branch
+// state and the portfolio's racing attempts rely on to stay
+// deterministic. Constraint values themselves are shared (they are never mutated after
 // Prepare).
 func (p *Problem) WithConstraints(cons []Constraint) *Problem {
 	lenVars := make(map[Var]lia.Var, len(p.lenVars))

@@ -88,8 +88,8 @@ func TestArithmeticOrIsOneBranch(t *testing.T) {
 	if got := res.Stats().Counter("branches"); got != 1 {
 		t.Errorf("branches = %d, want 1", got)
 	}
-	if got := res.Stats().Counter("cache.overapprox.miss"); got != 1 {
-		t.Errorf("cache.overapprox.miss = %d, want 1", got)
+	if got := res.Stats().Child("overapprox").Counter("calls"); got != 1 {
+		t.Errorf("overapprox/calls = %d, want 1", got)
 	}
 }
 
