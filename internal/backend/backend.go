@@ -18,13 +18,10 @@ import (
 	"repro/internal/strcon"
 )
 
-// Options configure one Solve call, engine-independently. Fields a
-// backend cannot honor are ignored (the baselines have no rounds).
-type Options struct {
-	// MaxRounds bounds under-approximation refinement rounds (0 =
-	// engine default).
-	MaxRounds int
-}
+// Options configure one Solve call, engine-independently. No option is
+// left: every backend runs with its engine's defaults. The type stays
+// because callers, the benchmark harness among them, pass Options{}.
+type Options struct{}
 
 // Caps is a backend's static capability report: what verdicts it can
 // prove and which constraint features it handles. The portfolio
@@ -67,7 +64,6 @@ func (b *coreBackend) Caps() Caps   { return b.caps }
 
 func (b *coreBackend) Solve(prob *strcon.Problem, opts Options, ec *engine.Ctx) core.Result {
 	res := core.SolveCtx(prob, core.Options{
-		MaxRounds:      opts.MaxRounds,
 		Incremental:    b.mode,
 		OverApproxOnly: b.overOnly,
 	}, ec)

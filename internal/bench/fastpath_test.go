@@ -22,8 +22,10 @@ func solveForced(inst *Instance, slow bool) (core.Result, bool) {
 // tables is solved twice, once on the machine-word fast path and once
 // with ForceSlowPath routing all simplex arithmetic through big.Rat.
 // Because both paths compute exact rationals, the solver must be
-// bit-for-bit deterministic across them: identical verdicts and
-// identical witnesses, not merely models that both validate.
+// bit-for-bit deterministic across them: identical verdicts, identical
+// witnesses (not merely models that both validate), and the same search
+// trajectory, so the same conflict, decision, propagation and pivot
+// counts in the two stats trees.
 func TestFastPathSlowPathAgreement(t *testing.T) {
 	for _, inst := range equivInstances() {
 		inst := inst
@@ -41,6 +43,13 @@ func TestFastPathSlowPathAgreement(t *testing.T) {
 			if fast.Status == core.StatusSat && slow.Status == core.StatusSat {
 				if !modelsEqual(fast.Model, slow.Model) {
 					t.Fatalf("%s: fast-path witness differs from slow-path witness", inst.Name)
+				}
+			}
+			if !fastTO && !slowTO {
+				for _, c := range []string{"conflicts", "decisions", "propagations", "pivots"} {
+					if f, s := fast.Stats.Total(c), slow.Stats.Total(c); f != s {
+						t.Fatalf("%s: %s differ: fast path %d, slow path %d", inst.Name, c, f, s)
+					}
 				}
 			}
 			if fast.Status == core.StatusSat {

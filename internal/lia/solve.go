@@ -2,6 +2,7 @@ package lia
 
 import (
 	"math/big"
+	"slices"
 	"sort"
 
 	"repro/internal/engine"
@@ -598,13 +599,27 @@ func (d *dpllt) chunkShrink(core []int, maxChecks int) []int {
 // subsetCheck tests integer feasibility of a subset of the currently
 // asserted atoms on a scratch simplex; when infeasible it may return a
 // smaller verified core.
+//
+// The scratch tableau holds only the subset's own variables, renumbered
+// in increasing order of their search-tableau ids, with the slacks after
+// them in creation order. Every ascending-id tie-break of the simplex and
+// of branch and bound therefore picks the same variable as it would on a
+// copy of the search tableau's whole variable space.
 func (d *dpllt) subsetCheck(subset []int) (infeasible bool, subcore []int) {
-	maxSv := d.sx.NumVars()
-	scratch := simplex.New(maxSv)
+	var ids []int
+	for _, i := range subset {
+		for _, v := range d.exprs[d.atoms[i].exprKey].vars {
+			ids = append(ids, d.svOf(v))
+		}
+	}
+	sort.Ints(ids)
+	ids = slices.Compact(ids)
+	m := len(ids)
+	local := func(v Var) int { return sort.SearchInts(ids, d.svOf(v)) }
+	scratch := simplex.New(m)
 	scratch.PivotBudget = d.opts.PivotBudget / 4
 	scratch.Ctx = d.opts.Ctx
 	slackOf := make(map[string]int)
-	intVarsSet := make(map[int]bool)
 	for _, i := range subset {
 		a := d.atoms[i]
 		er := d.exprs[a.exprKey]
@@ -613,23 +628,18 @@ func (d *dpllt) subsetCheck(subset []int) (infeasible bool, subcore []int) {
 			if len(er.def) == 1 {
 				v := er.vars[0]
 				if er.def[v].Cmp(oneInt) == 0 {
-					sv = d.svOf(v)
+					sv = local(v)
 					ok = true
 				}
 			}
 			if !ok {
-				// er.vars, not er.def: svOf may allocate, so the visit
-				// order must be fixed.
 				idef := make(map[int]*big.Int, len(er.def))
 				for _, v := range er.vars {
-					idef[d.svOf(v)] = er.def[v]
+					idef[local(v)] = er.def[v]
 				}
 				sv = scratch.DefineSlack(idef)
 			}
 			slackOf[a.exprKey] = sv
-		}
-		for _, v := range er.vars {
-			intVarsSet[d.svOf(v)] = true
 		}
 		pol := d.assertedPol[i] == 1
 		var c *simplex.Conflict
@@ -650,11 +660,12 @@ func (d *dpllt) subsetCheck(subset []int) (infeasible bool, subcore []int) {
 			return true, nil
 		}
 	}
-	intVars := make([]int, 0, len(intVarsSet))
-	for v := range intVarsSet {
-		intVars = append(intVars, v)
+	// Every scratch problem variable is a variable of the subset, and all
+	// of them are integers.
+	intVars := make([]int, m)
+	for v := range intVars {
+		intVars[v] = v
 	}
-	sort.Ints(intVars)
 	bb := &simplex.IntSolver{S: scratch, IntVars: intVars, NodeBudget: d.opts.BBNodeBudget / 8}
 	res, _, c := bb.Solve()
 	if res != simplex.IntUnsat {

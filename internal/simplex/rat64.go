@@ -28,9 +28,10 @@ import (
 
 // ForceSlowPath, when true, disables the int64 fast path: every rval
 // operation computes through the exact big.Rat fallback and nothing is
-// re-narrowed. It exists for the differential test suite (fast-path
-// verdicts and witnesses must be identical with the flag on) and must
-// only be toggled while no solver is running.
+// re-narrowed, and every tableau row keeps the rational form, so pivots
+// run the rval merge. It exists for the differential test suite
+// (fast-path verdicts, witnesses and pivot counts must be identical with
+// the flag on) and must only be toggled while no solver is running.
 var ForceSlowPath bool
 
 // rval is one rational value of the tableau: n/d with d >= 1 and

@@ -1,6 +1,8 @@
 package simplex
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/big"
 	"testing"
@@ -242,45 +244,212 @@ func TestOverflowTripInSolver(t *testing.T) {
 	}
 }
 
-// TestForcedSlowPathSolverAgreement replays a pivot-heavy random system
-// with and without the fast path and requires identical verdicts and
-// values.
-func TestForcedSlowPathSolverAgreement(t *testing.T) {
-	build := func() *Solver {
-		s := New(3)
-		e1 := s.DefineSlack(map[int]*big.Int{0: big.NewInt(2), 1: big.NewInt(3), 2: big.NewInt(-1)})
-		e2 := s.DefineSlack(map[int]*big.Int{0: big.NewInt(-1), 1: big.NewInt(5)})
-		e3 := s.DefineSlack(map[int]*big.Int{1: big.NewInt(7), 2: big.NewInt(2)})
-		s.AssertLower(e1, rat(4, 1), 1)
-		s.AssertUpper(e2, rat(10, 3), 2)
-		s.AssertLower(e3, rat(-2, 7), 3)
-		s.AssertUpper(0, rat(9, 2), 4)
-		s.AssertLower(1, rat(-3, 1), 5)
-		s.AssertUpper(2, rat(11, 1), 6)
-		return s
-	}
-	fast := build()
-	cf := fast.Check()
+// fuzzBound is one step of a FuzzSolverFastSlow system: assert a bound
+// n/d on variable v, optionally inside a new frame, followed by an
+// optional Check and an optional Pop.
+type fuzzBound struct {
+	v                       int
+	upper, push, check, pop bool
+	n, d                    int64
+}
 
-	ForceSlowPath = true
-	defer func() { ForceSlowPath = false }()
-	slow := build()
-	cs := slow.Check()
-
-	if (cf == nil) != (cs == nil) {
-		t.Fatalf("verdicts differ: fast %+v, slow %+v", cf, cs)
-	}
-	if cf != nil {
-		return
-	}
-	for v := 0; v < fast.NumVars(); v++ {
-		if fast.Value(v).Cmp(slow.Value(v)) != 0 {
-			t.Fatalf("var %d: fast %v, slow %v", v, fast.Value(v), slow.Value(v))
+// encodeSystem renders a system in FuzzSolverFastSlow's input format:
+// nv problem variables, one slack per row of coefs (one coefficient per
+// problem variable, within +-2^62), then the bound steps. Tags are the
+// step numbers from 1.
+func encodeSystem(nv int, coefs [][]int64, steps []fuzzBound) []byte {
+	le := binary.LittleEndian.AppendUint64
+	out := []byte{byte(nv - 1), byte(len(coefs))}
+	for _, row := range coefs {
+		for _, c := range row {
+			out = le(out, uint64(c<<1))
 		}
 	}
-	if fast.Pivots != slow.Pivots {
-		t.Fatalf("pivot counts diverge: fast %d, slow %d", fast.Pivots, slow.Pivots)
+	for _, st := range steps {
+		var fl byte
+		for bit, on := range []bool{st.upper, st.push, st.check, st.pop} {
+			if on {
+				fl |= 1 << bit
+			}
+		}
+		out = append(out, byte(st.v), fl)
+		out = le(out, uint64(st.n))
+		out = le(out, uint64(st.d-1)<<2)
 	}
+	return out
+}
+
+// runSystem decodes a FuzzSolverFastSlow input, replays it on a fresh
+// solver, and returns a transcript of every outcome: each assert's
+// conflict, each Check's verdict, conflict tags and pivot count, and
+// every value after a successful Check. It fails t when a successful
+// Check leaves a bound violated or a slack off its definition.
+func runSystem(t *testing.T, data []byte) []string {
+	if len(data) < 2 {
+		return nil
+	}
+	u64 := binary.LittleEndian.Uint64
+	nv, ns := 1+int(data[0]%4), int(data[1]%4)
+	data = data[2:]
+	if len(data) < ns*nv*8 {
+		return nil
+	}
+	s := New(nv)
+	s.PivotBudget = 5000
+	defs := make([][]*big.Int, ns)
+	for r := range defs {
+		def := make(map[int]*big.Int, nv)
+		defs[r] = make([]*big.Int, nv)
+		for v := 0; v < nv; v++ {
+			c := big.NewInt(int64(u64(data)) >> 1)
+			data = data[8:]
+			defs[r][v] = c
+			if c.Sign() != 0 {
+				def[v] = c
+			}
+		}
+		s.DefineSlack(def)
+	}
+	var out []string
+	conflict := func(what string, c *Conflict) {
+		if c == nil {
+			out = append(out, what+": ok")
+			return
+		}
+		out = append(out, fmt.Sprintf("%s: conflict %v tainted=%v budget=%v pivots=%d",
+			what, c.Tags, c.Tainted, c.Budget, s.Pivots))
+	}
+	check := func() {
+		c := s.Check()
+		conflict(fmt.Sprintf("check (pivots %d)", s.Pivots), c)
+		if c != nil {
+			return
+		}
+		vals := make([]*big.Rat, s.NumVars())
+		for v := range vals {
+			vals[v] = s.Value(v)
+			out = append(out, fmt.Sprintf("x%d = %v", v, vals[v]))
+			if s.lower[v].set && vals[v].Cmp(s.lower[v].val.rat()) < 0 ||
+				s.upper[v].set && vals[v].Cmp(s.upper[v].val.rat()) > 0 {
+				t.Fatalf("x%d = %v violates its bounds after a successful Check", v, vals[v])
+			}
+		}
+		for r, def := range defs {
+			sum := new(big.Rat)
+			for v, c := range def {
+				sum.Add(sum, new(big.Rat).Mul(new(big.Rat).SetInt(c), vals[v]))
+			}
+			if sum.Cmp(vals[nv+r]) != 0 {
+				t.Fatalf("slack %d = %v, its definition gives %v", nv+r, vals[nv+r], sum)
+			}
+		}
+	}
+	// Check picks what an ascending scan of every basic variable would
+	// pick only while each basic variable off its candidate list is
+	// within its bounds.
+	candidates := func(when string) {
+		members := 0
+		for v, in := range s.inCand {
+			if in {
+				members++
+				continue
+			}
+			if s.rows[v] != nil && (s.lower[v].set && s.beta[v].cmp(&s.lower[v].val) < 0 ||
+				s.upper[v].set && s.beta[v].cmp(&s.upper[v].val) > 0) {
+				t.Fatalf("%s: basic x%d violates a bound but is no Check candidate", when, v)
+			}
+		}
+		if members != len(s.cand) {
+			t.Fatalf("%s: %d variables marked as candidates, %d listed", when, members, len(s.cand))
+		}
+	}
+	depth := 0
+	for step := 1; len(data) >= 18 && step <= 64; step++ {
+		v, fl := int(data[0])%(nv+ns), data[1]
+		n, d := int64(u64(data[2:])), 1+int64(u64(data[10:])>>2)
+		data = data[18:]
+		if fl&2 != 0 {
+			s.Push()
+			depth++
+		}
+		b := new(big.Rat).SetFrac(big.NewInt(n), big.NewInt(d))
+		if fl&1 != 0 {
+			conflict(fmt.Sprintf("x%d <= %v", v, b), s.AssertUpper(v, b, step))
+		} else {
+			conflict(fmt.Sprintf("x%d >= %v", v, b), s.AssertLower(v, b, step))
+		}
+		candidates(fmt.Sprintf("step %d assert", step))
+		if fl&4 != 0 {
+			check()
+			candidates(fmt.Sprintf("step %d check", step))
+		}
+		if fl&8 != 0 && depth > 0 {
+			s.Pop()
+			depth--
+		}
+	}
+	check()
+	candidates("final check")
+	return out
+}
+
+// FuzzSolverFastSlow replays random small systems, with coefficients up
+// to +-2^62, with and without the fast path, and requires the same
+// transcript: verdicts, conflict tags, values and pivot counts. Rows
+// that overflow int64 fall back to rvals and narrow back, so the fast
+// run mixes both row forms while the slow run keeps every row rational.
+func FuzzSolverFastSlow(f *testing.F) {
+	// A pivot-heavy feasible system with fractional bounds.
+	f.Add(encodeSystem(3,
+		[][]int64{{2, 3, -1}, {-1, 5, 0}, {0, 7, 2}},
+		[]fuzzBound{
+			{v: 3, n: 4, d: 1},
+			{v: 4, upper: true, n: 10, d: 3},
+			{v: 5, n: -2, d: 7},
+			{v: 0, upper: true, n: 9, d: 2},
+			{v: 1, n: -3, d: 1},
+			{v: 2, upper: true, n: 11, d: 1},
+		}))
+	// TestOverflowTripInSolver's system: 2^60 coefficients, feasible,
+	// then infeasible with a conflict citing all three bounds.
+	huge := int64(1) << 60
+	f.Add(encodeSystem(2,
+		[][]int64{{huge, huge}},
+		[]fuzzBound{
+			{v: 2, n: 3 * huge, d: 1},
+			{v: 0, upper: true, n: 1, d: 1},
+			{v: 1, upper: true, n: 3, d: 1, check: true},
+			{v: 2, n: 5 * huge, d: 1},
+		}))
+	// Frames around checks, so Pop and the candidate list interleave.
+	f.Add(encodeSystem(3,
+		[][]int64{{1, 1, 1}, {1, -2, 0}, {0, 3, -1}},
+		[]fuzzBound{
+			{v: 0, n: 0, d: 1},
+			{v: 1, n: 0, d: 1},
+			{v: 3, n: 7, d: 1, push: true, check: true},
+			{v: 4, upper: true, n: -1, d: 1, push: true, check: true, pop: true},
+			{v: 5, n: 5, d: 2, check: true, pop: true},
+			{v: 2, upper: true, n: 1, d: 1, check: true},
+		}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fast := runSystem(t, data)
+		ForceSlowPath = true
+		defer func() { ForceSlowPath = false }()
+		slow := runSystem(t, data)
+		for i := 0; i < len(fast) || i < len(slow); i++ {
+			var a, b string
+			if i < len(fast) {
+				a = fast[i]
+			}
+			if i < len(slow) {
+				b = slow[i]
+			}
+			if a != b {
+				t.Fatalf("step %d: fast path %q, slow path %q", i, a, b)
+			}
+		}
+	})
 }
 
 func TestNumAPI(t *testing.T) {

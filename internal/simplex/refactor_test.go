@@ -94,3 +94,46 @@ func TestEnsureVars(t *testing.T) {
 		t.Fatal("bound not respected on grown var")
 	}
 }
+
+// TestRowOverflowsToRationalAndNarrowsBack pivots a row whose integer
+// form would need a 2^80 numerator, so it falls back to rvals, then
+// pivots back and checks that it returns to integer form with its
+// original numerators.
+func TestRowOverflowsToRationalAndNarrowsBack(t *testing.T) {
+	a := int64(1) << 40
+	s := New(2)
+	s1 := s.DefineSlack(map[int]*big.Int{0: big.NewInt(a), 1: big.NewInt(1)})
+	s2 := s.DefineSlack(map[int]*big.Int{0: big.NewInt(1), 1: big.NewInt(a)})
+	row := s.rows[s2]
+	if row.den != 1 || len(row.num) != 2 || row.num[0] != 1 || row.num[1] != a {
+		t.Fatalf("s2 starts as %v/%d, want [1 2^40]/1", row.num, row.den)
+	}
+	// x0 = (s1 - x1)/2^40, so s2 = (s1 + (2^80-1) x1)/2^40.
+	s.pivot(s1, 0, nil)
+	if row.den != 0 {
+		t.Fatalf("s2 kept integer form %v/%d across a 2^80 numerator", row.num, row.den)
+	}
+	if p := row.find(1); p < 0 || !row.coef[p].isWide {
+		t.Fatalf("s2's x1 coefficient should be wide, row %+v", row)
+	}
+	want := new(big.Rat).SetFrac(new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 80), big.NewInt(1)),
+		big.NewInt(a))
+	if got := row.coef[row.find(1)].rat(); got.Cmp(want) != 0 {
+		t.Fatalf("s2's x1 coefficient = %v, want %v", got, want)
+	}
+	// Pivoting back restores s2 = x0 + 2^40 x1, which fits again.
+	s.pivot(0, s1, nil)
+	if row.den != 1 || len(row.num) != 2 || row.num[0] != 1 || row.num[1] != a {
+		t.Fatalf("s2 did not narrow back: den %d, num %v, coef %+v", row.den, row.num, row.coef)
+	}
+
+	// Under ForceSlowPath every row stays rational.
+	ForceSlowPath = true
+	defer func() { ForceSlowPath = false }()
+	s = New(2)
+	s.DefineSlack(map[int]*big.Int{0: big.NewInt(a), 1: big.NewInt(1)})
+	s2 = s.DefineSlack(map[int]*big.Int{0: big.NewInt(1), 1: big.NewInt(a)})
+	if s.rows[s2].den != 0 {
+		t.Fatal("ForceSlowPath row in integer form")
+	}
+}

@@ -6,11 +6,16 @@
 //
 // It is the theory backend of the DPLL(T) loop in package lia.
 //
-// Arithmetic runs on the rval machine-word fast path (rat64.go):
-// coefficients, assignment values, and bounds are int64 num/den pairs
-// that promote to exact big.Rat on overflow. Rows are sorted sparse
-// parallel slices (idx/coef) so pivots walk contiguous memory, and
-// per-solver scratch buffers keep the pivot loop allocation-free.
+// Assignment values and bounds run on the rval machine-word fast path
+// (rat64.go): int64 num/den pairs that promote to exact big.Rat on
+// overflow. Tableau rows are fraction-free: sorted sparse int64
+// numerators over one positive row denominator, so a pivot rewrites the
+// pivot row with sign changes and a slot move and substitutes it into
+// the other rows with checked multiplies, without reducing every
+// coefficient by its own gcds. A row whose integer form would overflow
+// falls back to per-coefficient rvals until it fits again. Per-solver
+// scratch buffers keep the pivot loop allocation-free, and Check scans
+// only the basic variables touched since it last found them in bounds.
 package simplex
 
 import (
@@ -32,10 +37,23 @@ type bound struct {
 }
 
 // srow is one tableau row: a sparse linear form over nonbasic
-// variables, as parallel slices sorted by variable id. Coefficient
-// slots are owned by the row (see the rval copy discipline).
+// variables, as parallel slices sorted by variable id. It has one of
+// two forms.
+//
+// In integer form (den > 0) the coefficient at position p is
+// num[p]/den: int64 numerators over one positive row denominator, in
+// lowest terms (gcd(den, num[0], num[1], ...) == 1), and no numerator is
+// MinInt64, so negating one cannot overflow.
+//
+// In rational form (den == 0) the coefficient at position p is coef[p].
+// A row takes this form when its integer form would overflow int64, and
+// every row does under ForceSlowPath. A rational row returns to integer
+// form as soon as it fits. Coefficient slots are owned by the row (see
+// the rval copy discipline); num is scratch while the row is rational.
 type srow struct {
 	idx  []int32
+	num  []int64
+	den  int64
 	coef []rval
 }
 
@@ -52,6 +70,77 @@ func (r *srow) find(v int32) int {
 		}
 	}
 	return -1
+}
+
+// sign returns the sign of the coefficient at position p.
+func (r *srow) sign(p int) int {
+	if r.den == 0 {
+		return r.coef[p].sign()
+	}
+	switch n := r.num[p]; {
+	case n > 0:
+		return 1
+	case n < 0:
+		return -1
+	}
+	return 0
+}
+
+// coefAt returns the coefficient at position p as an rval: the row's
+// own slot in rational form, otherwise buf set to num[p]/den reduced.
+// The result is read-only.
+func (r *srow) coefAt(p int, buf *rval) *rval {
+	if r.den == 0 {
+		return &r.coef[p]
+	}
+	buf.n, buf.d = reduce64(r.num[p], r.den)
+	buf.isWide = false
+	return buf
+}
+
+// toRational switches an integer-form row to rational form.
+func (r *srow) toRational() {
+	r.coef = r.coef[:0]
+	for _, n := range r.num {
+		r.coef = append(r.coef, rval{})
+		c := &r.coef[len(r.coef)-1]
+		c.n, c.d = reduce64(n, r.den)
+	}
+	r.den = 0
+}
+
+// narrow switches a rational-form row to integer form when every
+// coefficient is narrow and the row fits over the least common
+// denominator. Reduced coefficients over their lcm are in lowest terms
+// as a row, so no further gcd is needed. Under ForceSlowPath rows stay
+// rational.
+func (r *srow) narrow() {
+	if ForceSlowPath || r.den != 0 {
+		return
+	}
+	l := int64(1)
+	for p := range r.coef {
+		c := &r.coef[p]
+		if c.isWide {
+			return
+		}
+		g := int64(gcd64(uint64(l), uint64(c.d)))
+		var ok bool
+		if l, ok = mul64(l, c.d/g); !ok {
+			return
+		}
+	}
+	r.num = r.num[:0]
+	for p := range r.coef {
+		c := &r.coef[p]
+		n, ok := mul64(c.n, l/c.d)
+		if !ok || n == minInt64 {
+			return
+		}
+		r.num = append(r.num, n)
+	}
+	r.den = l
+	r.coef = nil
 }
 
 // Solver holds a simplex tableau over variables identified by small
@@ -73,21 +162,28 @@ type Solver struct {
 	baseTerms    int
 	lastRefactor int64
 
-	// Scratch buffers for the pivot substitution merge and the column
-	// snapshot, reused across pivots so the hot loop does not allocate.
+	// Scratch buffers for the pivot substitution merge, its column
+	// updates and the column snapshot, reused across pivots so the hot
+	// loop does not allocate.
 	mergeIdx   []int32
+	mergeNum   []int64
 	mergeCoef  []rval
+	mergeAdd   []int32
+	mergeDel   []int32
 	colScratch []int32
 
 	// Bound changes are undone through a trail so Push is O(1).
 	undo   []boundChange
 	frames []int // marks into undo
 
-	// dirty records that some basic variable may violate a bound, so
-	// Check must actually pivot. Asserting a bound on a nonbasic
-	// variable keeps the tableau feasible (the assignment is updated in
-	// place), which makes most Check calls O(1).
-	dirty bool
+	// cand lists, without repeats, the basic variables whose value or
+	// bounds changed since Check last found them in bounds (inCand
+	// marks the members). Every basic variable outside it is within its
+	// bounds, so Check scans only the list, and an empty list makes a
+	// Check call O(1): asserting a bound on a nonbasic variable keeps
+	// the tableau feasible (the assignment is updated in place).
+	cand   []int32
+	inCand []bool
 
 	// Pivots counts pivot operations, for diagnostics and budgets.
 	Pivots int64
@@ -120,6 +216,7 @@ func New(n int) *Solver {
 	s.upper = make([]bound, n)
 	s.rows = make([]*srow, n)
 	s.cols = make([][]int32, n)
+	s.inCand = make([]bool, n)
 	return s
 }
 
@@ -140,6 +237,7 @@ func (s *Solver) EnsureVars(n int) {
 		s.upper = append(s.upper, bound{})
 		s.rows = append(s.rows, nil)
 		s.cols = append(s.cols, nil)
+		s.inCand = append(s.inCand, false)
 	}
 	s.n = n
 }
@@ -153,6 +251,7 @@ func (s *Solver) DefineSlack(def map[int]*big.Int) int {
 	s.n++
 	s.lower = append(s.lower, bound{})
 	s.upper = append(s.upper, bound{})
+	s.inCand = append(s.inCand, false)
 	stored := make(map[int]*big.Int, len(def))
 	for v, c := range def {
 		if _, isSlack := s.defs[v]; isSlack {
@@ -176,7 +275,7 @@ func (s *Solver) DefineSlack(def map[int]*big.Int) int {
 			acc[w] = nv
 		}
 	}
-	var rc, t rval
+	var rc, t, buf rval
 	for v, c := range def {
 		if c.Sign() == 0 {
 			continue
@@ -184,7 +283,7 @@ func (s *Solver) DefineSlack(def map[int]*big.Int) int {
 		rc.setBigInt(c)
 		if br := s.rows[v]; br != nil {
 			for p, k := range br.idx {
-				t.mul(&rc, &br.coef[p])
+				t.mul(&rc, br.coefAt(p, &buf))
 				accAdd(int(k), &t)
 			}
 		} else {
@@ -212,6 +311,7 @@ func (s *Solver) DefineSlack(def map[int]*big.Int) int {
 		val.addMul(cw, &s.beta[w])
 		s.colAdd(w, id)
 	}
+	row.narrow()
 	s.beta = append(s.beta, val) // val is dead after this; the slot takes ownership
 	s.rows = append(s.rows, row)
 	s.cols = append(s.cols, nil)
@@ -236,6 +336,10 @@ func (s *Solver) refactorize() {
 	for v := range s.cols {
 		s.cols[v] = s.cols[v][:0]
 	}
+	for _, r := range s.cand {
+		s.inCand[r] = false
+	}
+	s.cand = s.cand[:0]
 	ids := make([]int, 0, len(s.defs))
 	for id := range s.defs {
 		ids = append(ids, id)
@@ -263,8 +367,10 @@ func (s *Solver) refactorize() {
 			s.colAdd(v, id)
 			val.addMul(&rc, &s.beta[v])
 		}
+		row.narrow()
 		s.rows[id] = row
 		s.beta[id].set(&val)
+		s.addCand(id)
 	}
 	// Restore the nonbasic-within-bounds invariant for problem vars.
 	for v := 0; v < s.n; v++ {
@@ -277,7 +383,6 @@ func (s *Solver) refactorize() {
 			s.update(v, &s.upper[v].val)
 		}
 	}
-	s.dirty = true
 }
 
 // maybeRefactorize rebuilds the tableau when fill-in has grown it far
@@ -312,6 +417,14 @@ func (s *Solver) colDel(v, row int) {
 			s.cols[v] = c[:len(c)-1]
 			return
 		}
+	}
+}
+
+// addCand puts basic variable r on Check's candidate list.
+func (s *Solver) addCand(r int) {
+	if !s.inCand[r] {
+		s.inCand[r] = true
+		s.cand = append(s.cand, int32(r))
 	}
 }
 
@@ -380,12 +493,12 @@ func (s *Solver) assertUpper(v int, c *rval, tag int) *Conflict {
 	nb := bound{tag: tag, set: true}
 	nb.val.set(c)
 	s.upper[v] = nb
-	if s.rows[v] != nil {
-		if s.beta[v].cmp(c) > 0 {
-			s.dirty = true
+	if s.beta[v].cmp(c) > 0 {
+		if s.rows[v] != nil {
+			s.addCand(v)
+		} else {
+			s.update(v, c)
 		}
-	} else if s.beta[v].cmp(c) > 0 {
-		s.update(v, c)
 	}
 	return nil
 }
@@ -417,12 +530,12 @@ func (s *Solver) assertLower(v int, c *rval, tag int) *Conflict {
 	nb := bound{tag: tag, set: true}
 	nb.val.set(c)
 	s.lower[v] = nb
-	if s.rows[v] != nil {
-		if s.beta[v].cmp(c) < 0 {
-			s.dirty = true
+	if s.beta[v].cmp(c) < 0 {
+		if s.rows[v] != nil {
+			s.addCand(v)
+		} else {
+			s.update(v, c)
 		}
-	} else if s.beta[v].cmp(c) < 0 {
-		s.update(v, c)
 	}
 	return nil
 }
@@ -446,9 +559,9 @@ func (s *Solver) mkConflict(bs []bound) *Conflict {
 
 // update sets the value of nonbasic variable j to v, adjusting all
 // basic variables whose rows mention j. Adjusted basic variables may
-// leave their bounds, so the tableau is marked dirty.
+// leave their bounds, so they become Check candidates.
 func (s *Solver) update(j int, v *rval) {
-	var theta rval
+	var theta, buf rval
 	theta.sub(v, &s.beta[j])
 	for _, r32 := range s.cols[j] {
 		r := int(r32)
@@ -457,8 +570,8 @@ func (s *Solver) update(j int, v *rval) {
 		if p < 0 {
 			continue
 		}
-		s.beta[r].addMul(&row.coef[p], &theta)
-		s.dirty = true
+		s.beta[r].addMul(row.coefAt(p, &buf), &theta)
+		s.addCand(r)
 	}
 	s.beta[j].set(v)
 }
@@ -468,50 +581,63 @@ func (s *Solver) update(j int, v *rval) {
 func (s *Solver) pivotAndUpdate(i, j int, v *rval) {
 	s.Pivots++ //lint:nooverflow monotone diagnostic counter; budgets trip long before int64 wraps
 	rowI := s.rows[i]
-	pj := rowI.find(int32(j))
-	var theta rval
+	var theta, buf rval
 	theta.sub(v, &s.beta[i])
-	theta.div(&theta, &rowI.coef[pj])
+	theta.div(&theta, rowI.coefAt(rowI.find(int32(j)), &buf))
 	s.beta[i].set(v)
 	s.beta[j].add(&theta)
-	for _, r32 := range s.cols[j] {
-		r := int(r32)
-		if r == i {
-			continue
-		}
-		row := s.rows[r]
-		p := row.find(int32(j))
-		if p < 0 {
-			continue
-		}
-		s.beta[r].addMul(&row.coef[p], &theta)
-	}
-	s.pivot(i, j)
+	s.addCand(j)
+	s.pivot(i, j, &theta)
 }
 
-// pivot swaps basic i with nonbasic j.
-func (s *Solver) pivot(i, j int) {
+// pivot swaps basic i with nonbasic j. When theta is non-nil, x_j
+// moved by theta, and every other row containing j has its basic value
+// adjusted before x_j is substituted out of it.
+func (s *Solver) pivot(i, j int, theta *rval) {
 	row := s.rows[i]
 	pj := row.find(int32(j))
-	// Solve for x_j: x_j = (1/aij) x_i - sum_{k != j} (a_ik/aij) x_k.
-	// The transform happens in place: row becomes x_j's row.
+	// Solve for x_j. The transform happens in place: row becomes x_j's
+	// row, and the rotation below stores x_i's coefficient (lead in
+	// integer form, inv in rational form) at x_i's sorted position.
+	var lead int64
 	var inv rval
-	inv.inv(&row.coef[pj])
-	for p := range row.coef {
-		if p == pj {
-			continue
+	if row.den > 0 {
+		// x_i = sum(num[p] x_p)/den, so x_j = (den x_i - sum_{p != j}
+		// num[p] x_p)/num[pj]: the numerators change sign when num[pj]
+		// is positive, and den moves into x_i's slot. The row keeps its
+		// gcd, so it stays in lowest terms.
+		a := row.num[pj]
+		lead = row.den
+		if a > 0 {
+			for p := range row.num {
+				row.num[p] = -row.num[p] //lint:nooverflow integer-form numerators are never MinInt64
+			}
+		} else {
+			a = -a       //lint:nooverflow integer-form numerators are never MinInt64
+			lead = -lead //lint:nooverflow den is positive
 		}
-		row.coef[p].mulNeg(&row.coef[p], &inv)
-		k := int(row.idx[p])
-		s.colDel(k, i)
-		s.colAdd(k, j)
+		row.den = a
+	} else {
+		// x_j = (1/aij) x_i - sum_{k != j} (a_ik/aij) x_k.
+		inv.inv(&row.coef[pj])
+		for p := range row.coef {
+			if p != pj {
+				row.coef[p].mulNeg(&row.coef[p], &inv)
+			}
+		}
+	}
+	for p, k := range row.idx {
+		if p != pj {
+			s.colDel(int(k), i)
+			s.colAdd(int(k), j)
+		}
 	}
 	// Snapshot j's column before clearing it: these are the rows that
 	// need x_j substituted away.
 	s.colScratch = append(s.colScratch[:0], s.cols[j]...)
 	s.cols[j] = s.cols[j][:0]
-	// Rotate the j slot to i's sorted position and store 1/aij there.
-	// Vacated slots are zeroed so no two slots share a wide pointer.
+	// Rotate the j slot to i's sorted position and store x_i's
+	// coefficient there.
 	ii := int32(i)
 	q := pj
 	if ii < row.idx[pj] {
@@ -519,24 +645,34 @@ func (s *Solver) pivot(i, j int) {
 		for q > 0 && row.idx[q-1] > ii {
 			q--
 		}
-		for t := pj; t > q; t-- {
-			row.idx[t] = row.idx[t-1]
-			row.coef[t] = row.coef[t-1]
-			row.coef[t-1] = rval{}
+		copy(row.idx[q+1:pj+1], row.idx[q:pj])
+		if row.den > 0 {
+			copy(row.num[q+1:pj+1], row.num[q:pj])
+		} else {
+			copy(row.coef[q+1:pj+1], row.coef[q:pj])
 		}
 	} else {
 		//lint:nopoll bounded: q strictly increases toward len(row.idx)
 		for q+1 < len(row.idx) && row.idx[q+1] < ii {
 			q++
 		}
-		for t := pj; t < q; t++ {
-			row.idx[t] = row.idx[t+1]
-			row.coef[t] = row.coef[t+1]
-			row.coef[t+1] = rval{}
+		copy(row.idx[pj:q], row.idx[pj+1:q+1])
+		if row.den > 0 {
+			copy(row.num[pj:q], row.num[pj+1:q+1])
+		} else {
+			copy(row.coef[pj:q], row.coef[pj+1:q+1])
 		}
 	}
 	row.idx[q] = ii
-	row.coef[q] = inv // inv is dead after this; the slot takes ownership
+	if row.den > 0 {
+		row.num[q] = lead
+	} else {
+		// The shift left slot q sharing its wide pointer with a
+		// neighbour; overwriting it with inv (dead after this) restores
+		// the copy discipline.
+		row.coef[q] = inv
+		row.narrow()
+	}
 	s.colAdd(i, j)
 	s.rows[j] = row
 	s.rows[i] = nil
@@ -545,6 +681,7 @@ func (s *Solver) pivot(i, j int) {
 	s.Ctx.Charge("simplex tableau", int64(len(row.idx)))
 
 	// Substitute x_j's definition into every other row containing j.
+	var buf rval
 	for _, r32 := range s.colScratch {
 		r := int(r32)
 		if r == i {
@@ -555,19 +692,125 @@ func (s *Solver) pivot(i, j int) {
 		if prj < 0 {
 			continue
 		}
-		s.mergeScaled(r, rr, prj, row)
+		if theta != nil {
+			s.beta[r].addMul(rr.coefAt(prj, &buf), theta)
+			s.addCand(r)
+		}
+		if rr.den > 0 && row.den > 0 && s.mergeScaled(r, rr, prj, row) {
+			continue
+		}
+		// The kept path: merge on rvals, then return to integer form if
+		// the result fits.
+		if rr.den > 0 {
+			rr.toRational()
+		}
+		s.mergeScaledRat(r, rr, prj, row)
+		rr.narrow()
 	}
 }
 
 // mergeScaled rewrites row rr (basic in r) as rr minus its x_j term
 // plus f*src, where f is rr's coefficient at position pj (the x_j term
-// being eliminated) and src is x_j's new row. It merges the two sorted
-// sparse forms into the solver scratch, swaps the backing arrays, and
-// maintains the column index for r. src never contains x_j.
-func (s *Solver) mergeScaled(r int, rr *srow, pj int, src *srow) {
+// being eliminated) and src is x_j's new row; src never contains x_j.
+// Both rows are in integer form: with rr = (sum a_k x_k)/da, src =
+// (sum b_k x_k)/db and g = gcd(a_j, db), the result is
+// (sum (db/g) a_k x_k + (a_j/g) b_k x_k)/(da db/g), divided by the gcd
+// of the row, which a running gcd finds (it stops once it reaches 1).
+// The merge goes into the solver scratch, whose arrays then swap with
+// the row's. It reports false, leaving rr and the column index
+// untouched, when a value would overflow int64 or be MinInt64.
+func (s *Solver) mergeScaled(r int, rr *srow, pj int, src *srow) bool {
+	f := rr.num[pj]
+	g := int64(gcd64(absU64(f), uint64(src.den)))
+	ma, mb := src.den/g, f/g // multipliers of rr's and src's numerators
+	den, ok := mul64(rr.den, ma)
+	if !ok {
+		return false
+	}
+	rowGcd := uint64(den)
+	mi := s.mergeIdx[:0]
+	mn := s.mergeNum[:0]
+	added := s.mergeAdd[:0]
+	deleted := s.mergeDel[:0]
+	pa, pb := 0, 0
+	//lint:nopoll bounded: two-pointer merge, pa+pb strictly increases every iteration
+	for pa < len(rr.idx) || pb < len(src.idx) {
+		if pa == pj {
+			pa++
+			continue
+		}
+		aLeft := pa < len(rr.idx)
+		bLeft := pb < len(src.idx)
+		var k int32
+		var v int64
+		switch {
+		case aLeft && (!bLeft || rr.idx[pa] < src.idx[pb]):
+			k = rr.idx[pa]
+			v, ok = mul64(rr.num[pa], ma)
+			pa++
+		case bLeft && (!aLeft || src.idx[pb] < rr.idx[pa]):
+			// A variable new to this row; f and src's numerators are
+			// nonzero, so the product cannot cancel.
+			k = src.idx[pb]
+			v, ok = mul64(src.num[pb], mb)
+			added = append(added, k)
+			pb++
+		default: // same variable in both
+			k = rr.idx[pa]
+			var t1, t2 int64
+			var ok1, ok2 bool
+			t1, ok1 = mul64(rr.num[pa], ma)
+			t2, ok2 = mul64(src.num[pb], mb)
+			v, ok = add64(t1, t2)
+			ok = ok && ok1 && ok2
+			pa++
+			pb++
+			if ok && v == 0 {
+				deleted = append(deleted, k)
+				continue
+			}
+		}
+		if !ok || v == minInt64 {
+			s.mergeIdx, s.mergeNum = mi[:0], mn[:0]
+			s.mergeAdd, s.mergeDel = added[:0], deleted[:0]
+			return false
+		}
+		if rowGcd != 1 {
+			rowGcd = gcd64(rowGcd, absU64(v))
+		}
+		mi = append(mi, k)
+		mn = append(mn, v)
+	}
+	if rowGcd != 1 {
+		d := int64(rowGcd)
+		for p := range mn {
+			mn[p] /= d
+		}
+		den /= d
+	}
+	for _, k := range added {
+		s.colAdd(int(k), r)
+	}
+	for _, k := range deleted {
+		s.colDel(int(k), r)
+	}
+	// Swap: the merged form becomes the row; the row's old arrays become
+	// the next merge's scratch.
+	oldIdx, oldNum := rr.idx, rr.num
+	rr.idx, rr.num, rr.den = mi, mn, den
+	s.mergeIdx, s.mergeNum = oldIdx[:0], oldNum[:0]
+	s.mergeAdd, s.mergeDel = added[:0], deleted[:0]
+	return true
+}
+
+// mergeScaledRat is mergeScaled on a rational-form rr (src may have
+// either form), computed on rvals: the path for rows whose integer form
+// would overflow, and for every row under ForceSlowPath.
+func (s *Solver) mergeScaledRat(r int, rr *srow, pj int, src *srow) {
 	f := &rr.coef[pj] // rr's arrays are read-only until the swap below
 	mi := s.mergeIdx[:0]
 	mc := s.mergeCoef[:0]
+	var buf rval
 	pa, pb := 0, 0
 	//lint:nopoll bounded: two-pointer merge, pa+pb strictly increases every iteration
 	for pa < len(rr.idx) || pb < len(src.idx) {
@@ -588,14 +831,14 @@ func (s *Solver) mergeScaled(r int, rr *srow, pj int, src *srow) {
 			// nonzero, so the product cannot cancel.
 			mi = append(mi, src.idx[pb])
 			mc = append(mc, rval{})
-			mc[len(mc)-1].mul(f, &src.coef[pb])
+			mc[len(mc)-1].mul(f, src.coefAt(pb, &buf))
 			s.colAdd(int(src.idx[pb]), r)
 			pb++
 		default: // same variable in both
 			mc = append(mc, rval{})
 			d := &mc[len(mc)-1]
 			d.set(&rr.coef[pa])
-			d.addMul(f, &src.coef[pb])
+			d.addMul(f, src.coefAt(pb, &buf))
 			if d.sign() == 0 {
 				mc = mc[:len(mc)-1]
 				s.colDel(int(rr.idx[pa]), r)
@@ -618,7 +861,7 @@ func (s *Solver) mergeScaled(r int, rr *srow, pj int, src *srow) {
 // success, or a conflict explaining infeasibility. On success every
 // variable's value (Value) respects its bounds.
 func (s *Solver) Check() *Conflict {
-	if !s.dirty {
+	if len(s.cand) == 0 {
 		return nil
 	}
 	s.maybeRefactorize()
@@ -636,37 +879,48 @@ func (s *Solver) Check() *Conflict {
 		}
 		bland := s.Pivots >= blandAfter
 		i := -1
-		var needLower, haveWorst bool
-		// The scan runs in ascending variable order, so on ties the
-		// smallest basic variable wins — same tie-break as before, now
-		// implicit in the iteration order.
-		for r := 0; r < s.n; r++ {
+		var needLower bool
+		// Scan the candidates, dropping those now nonbasic or within
+		// their bounds. The pick is the one an ascending scan of every
+		// basic variable would make: the largest violation with ties to
+		// the smallest id, or under Bland's rule the smallest violated id.
+		w := 0
+		for _, r32 := range s.cand {
+			r := int(r32)
+			var below bool
 			if s.rows[r] == nil {
+				s.inCand[r] = false
 				continue
 			}
-			var below bool
 			if s.lower[r].set && s.beta[r].cmp(&s.lower[r].val) < 0 {
 				below = true
 			} else if !(s.upper[r].set && s.beta[r].cmp(&s.upper[r].val) > 0) {
+				s.inCand[r] = false
 				continue
 			}
+			s.cand[w] = r32
+			w++
 			if bland {
-				i, needLower = r, below
-				break // ascending scan: first violated is the smallest
+				if i == -1 || r < i {
+					i, needLower = r, below
+				}
+				continue
 			}
 			if below {
 				viol.sub(&s.lower[r].val, &s.beta[r])
 			} else {
 				viol.sub(&s.beta[r], &s.upper[r].val)
 			}
-			if !haveWorst || viol.cmp(&worst) > 0 {
-				worst.set(&viol)
-				haveWorst = true
-				i, needLower = r, below
+			if i != -1 {
+				if c := viol.cmp(&worst); c < 0 || c == 0 && r > i {
+					continue
+				}
 			}
+			worst.set(&viol)
+			i, needLower = r, below
 		}
+		s.cand = s.cand[:w]
 		if i == -1 {
-			s.dirty = false
 			return nil
 		}
 		row := s.rows[i]
@@ -679,7 +933,7 @@ func (s *Solver) Check() *Conflict {
 		jCost := 0
 		for p, k32 := range row.idx {
 			k := int(k32)
-			sg := row.coef[p].sign()
+			sg := row.sign(p)
 			var ok bool
 			if needLower {
 				// x_i must increase.
@@ -713,7 +967,7 @@ func (s *Solver) Check() *Conflict {
 			}
 			for p, k32 := range row.idx {
 				k := int(k32)
-				pos := row.coef[p].sign() > 0
+				pos := row.sign(p) > 0
 				if needLower == pos {
 					bs = append(bs, s.upper[k])
 				} else {
