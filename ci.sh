@@ -88,15 +88,15 @@ if ! grep -q '"findings": \[\]' "$work/traulint.json"; then
     exit 1
 fi
 
-echo "==> cancellation and equivalence tests (-race)"
+echo "==> cancellation and concurrency tests (-race)"
 # The cooperative-cancellation paths are the raciest code in the tree:
 # every layer must abort promptly when its engine.Ctx is cancelled from
 # another goroutine, and the racing portfolio must stay deterministic.
-# The incremental-vs-fresh equivalence suite and benchtab's worker pool
-# ride along: the portfolio races both engines' sessions on clones of
-# one problem, and the table runner solves instances concurrently.
-# Run them first and explicitly so a hang here is attributed correctly.
-race_first_tests='Cancel|Deadline|Timeout|Parallel|Incremental|Concurrent|Portfolio|Hedge|FailsOver'
+# benchtab's worker pool rides along: the portfolio races backends on
+# clones of one problem, each refine attempt with its own lia sessions,
+# and the table runner solves instances concurrently. Run them first
+# and explicitly so a hang here is attributed correctly.
+race_first_tests='Cancel|Deadline|Timeout|Parallel|Concurrent|Portfolio|Hedge|FailsOver'
 go test -race -run "$race_first_tests" \
     ./internal/sat ./internal/simplex ./internal/lia \
     ./internal/core ./internal/baseline ./internal/bench \
@@ -327,14 +327,18 @@ grep -q 'trauserve: drained' "$work/trauserve_shard_${s2##*:}.log"
 grep -q 'trauserve: drained' "$work/trauserve_shard_${s3##*:}.log"
 
 echo "==> traubench luhn smoke"
-# One short traubench run of the Luhn workload: it solves checkLuhn
-# k = 2..8 through SMT-LIB and checks every verdict and model. Gating
-# on the run's own "correct" flag, not on its timings.
-go run ./cmd/traubench -workload luhn -seconds 1 >"$work/traubench_luhn.json"
-if ! tail -n 1 "$work/traubench_luhn.json" | grep -q '"correct":true'; then
-    echo "traubench luhn smoke: a verdict or model was wrong" >&2
-    cat "$work/traubench_luhn.json" >&2
-    exit 1
-fi
+# One short traubench run of each Luhn workload: both solve checkLuhn
+# k = 2..8 through SMT-LIB and check every verdict and model, luhn
+# through refine and luhn-portfolio through the portfolio's race.
+# Gating on the run's own "correct" flag, not on its timings.
+go build -o "$work/traubench" ./cmd/traubench
+for workload in luhn luhn-portfolio; do
+    "$work/traubench" -workload "$workload" -seconds 1 >"$work/traubench_$workload.json"
+    if ! tail -n 1 "$work/traubench_$workload.json" | grep -q '"correct":true'; then
+        echo "traubench $workload smoke: a verdict or model was wrong" >&2
+        cat "$work/traubench_$workload.json" >&2
+        exit 1
+    fi
+done
 
 echo "ci: all checks passed"

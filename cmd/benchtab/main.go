@@ -8,7 +8,7 @@
 //	benchtab -table 2 -per 30 -timeout 5s
 //	benchtab -table 3 -loops 12 -timeout 10s
 //	benchtab -table all -j 4
-//	benchtab -table 2 -solvers refine-fresh
+//	benchtab -table 2 -solvers refine,portfolio
 //
 // -j runs the instances of each suite on N worker goroutines; the
 // emitted tables are byte-identical for every worker count.

@@ -91,9 +91,13 @@ func TestRunUsageErrors(t *testing.T) {
 		t.Fatalf("no check-sat: code %d, want 2", code)
 	}
 	sat := `(declare-fun x () String)(assert (= x "a"))(check-sat)`
-	for _, flag := range []string{"-parallel=2", "-incremental=false"} {
-		if code := run([]string{flag, "-"}, strings.NewReader(sat), &stdout, &stderr); code != 2 {
-			t.Fatalf("%s: code %d, want 2", flag, code)
+	for _, flags := range [][]string{
+		{"-parallel=2"},
+		{"-incremental=false"},
+		{"-portfolio", "-backends", "refine-fresh"},
+	} {
+		if code := run(append(flags, "-"), strings.NewReader(sat), &stdout, &stderr); code != 2 {
+			t.Fatalf("%v: code %d, want 2", flags, code)
 		}
 	}
 }

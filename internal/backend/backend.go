@@ -1,11 +1,10 @@
 // Package backend turns the repository's solving engines into
 // interchangeable decision procedures behind one interface and one
-// registry. The refinement loop (incremental and fresh), the
-// over-approximation-only refuter, and the two baseline families
-// (bounded enumeration, word-equation splitting) all implement
-// Backend; benchtab, the differential suites, the portfolio scheduler,
-// and trauserve resolve engines from here instead of building ad-hoc
-// closures.
+// registry. The refinement loop, the over-approximation-only refuter,
+// and the two baseline families (bounded enumeration, word-equation
+// splitting) all implement Backend; benchtab, the differential suites,
+// the portfolio scheduler, and trauserve resolve engines from here
+// instead of building ad-hoc closures.
 package backend
 
 import (
@@ -37,8 +36,8 @@ type Caps struct {
 	Conversion bool
 	// Regex: membership constraints are decided.
 	Regex bool
-	// CostHint ranks expected cost per solve, 1 (cheap probe) to 4
-	// (heavyweight); used only to break scheduling ties.
+	// CostHint ranks expected cost per solve, 1 (cheap probe) to 3
+	// (the full refinement loop); used only to break scheduling ties.
 	CostHint int
 }
 
@@ -51,11 +50,11 @@ type Backend interface {
 	Solve(prob *strcon.Problem, opts Options, ec *engine.Ctx) core.Result
 }
 
-// coreBackend adapts core.SolveCtx under a fixed engine mode.
+// coreBackend adapts core.SolveCtx, either the full procedure or its
+// over-approximation phase alone.
 type coreBackend struct {
 	name     string
 	caps     Caps
-	mode     core.IncrementalMode
 	overOnly bool
 }
 
@@ -63,10 +62,7 @@ func (b *coreBackend) Name() string { return b.name }
 func (b *coreBackend) Caps() Caps   { return b.caps }
 
 func (b *coreBackend) Solve(prob *strcon.Problem, opts Options, ec *engine.Ctx) core.Result {
-	res := core.SolveCtx(prob, core.Options{
-		Incremental:    b.mode,
-		OverApproxOnly: b.overOnly,
-	}, ec)
+	res := core.SolveCtx(prob, core.Options{OverApproxOnly: b.overOnly}, ec)
 	res.Backend = b.name
 	return res
 }
@@ -121,12 +117,6 @@ var registry = []Backend{
 	&coreBackend{
 		name: "refine",
 		caps: Caps{ProvesSat: true, ProvesUnsat: true, Conversion: true, Regex: true, CostHint: 3},
-		mode: core.IncrementalOn,
-	},
-	&coreBackend{
-		name: "refine-fresh",
-		caps: Caps{ProvesSat: true, ProvesUnsat: true, Conversion: true, Regex: true, CostHint: 4},
-		mode: core.IncrementalOff,
 	},
 	&coreBackend{
 		name:     "overapprox-only",

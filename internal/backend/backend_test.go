@@ -35,7 +35,7 @@ func unsatProblem() *strcon.Problem {
 }
 
 func TestRegistryShape(t *testing.T) {
-	want := []string{"refine", "refine-fresh", "overapprox-only", "enum", "split"}
+	want := []string{"refine", "overapprox-only", "enum", "split"}
 	got := Names()
 	if len(got) != len(want) {
 		t.Fatalf("Names() = %v, want %v", got, want)

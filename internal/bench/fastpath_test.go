@@ -2,11 +2,39 @@ package bench
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/simplex"
 	"repro/internal/strcon"
 )
+
+// equivInstances is the differential corpus: every generator of the
+// benchmark tables plus the small end of the checkLuhn family.
+func equivInstances() []*Instance {
+	var insts []*Instance
+	for _, s := range Table1Suites(4) {
+		insts = append(insts, s.Instances...)
+	}
+	for _, s := range Table2Suites(4) {
+		insts = append(insts, s.Instances...)
+	}
+	for k := 2; k <= 6; k++ {
+		insts = append(insts, Luhn(k))
+	}
+	return insts
+}
+
+// solveMode runs one instance through the decision procedure. timedOut
+// reports whether the solve hit its deadline, which excuses an Unknown
+// verdict in a cross-run comparison.
+func solveMode(inst *Instance) (res core.Result, timedOut bool) {
+	prob := inst.Build()
+	ec := engine.WithTimeout(30 * time.Second)
+	res = core.SolveCtx(prob, core.Options{}, ec)
+	return res, ec.TimedOut()
+}
 
 // solveForced runs one instance with the simplex fast path forced off
 // (every rational operation routed through big.Rat) or left in its
@@ -14,7 +42,7 @@ import (
 func solveForced(inst *Instance, slow bool) (core.Result, bool) {
 	simplex.ForceSlowPath = slow
 	defer func() { simplex.ForceSlowPath = false }()
-	return solveMode(inst, core.IncrementalOn)
+	return solveMode(inst)
 }
 
 // TestFastPathSlowPathAgreement is the differential gate for the int64

@@ -69,14 +69,11 @@ func benchLuhn(b *testing.B, k int, o Options) {
 	}
 }
 
-// BenchmarkRefineLoop measures the refinement loop end to end, cold
-// (fresh lia solver per round) versus incremental (persistent sessions).
+// BenchmarkRefineLoop measures the refinement loop end to end, one
+// persistent lia session per branch.
 func BenchmarkRefineLoop(b *testing.B) {
 	for _, k := range []int{4, 6, 8} {
-		b.Run(fmt.Sprintf("cold/luhn-%02d", k), func(b *testing.B) {
-			benchLuhn(b, k, Options{Incremental: IncrementalOff})
-		})
-		b.Run(fmt.Sprintf("incremental/luhn-%02d", k), func(b *testing.B) {
+		b.Run(fmt.Sprintf("luhn-%02d", k), func(b *testing.B) {
 			benchLuhn(b, k, Options{})
 		})
 	}

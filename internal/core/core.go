@@ -48,15 +48,13 @@ func (s Status) String() string {
 
 // Options configure the decision procedure. The zero value uses
 // defaults: over-approximation on, three refinement rounds starting
-// from the paper's (m, p) = (5, 2) with q from a static scan.
+// from PFA parameters (m, loops, loop length) = (5, 2, 2).
 type Options struct {
 	// Timeout bounds the whole solve when calling Solve; zero means
 	// none. SolveCtx ignores it (the context carries the deadline).
 	Timeout time.Duration
 	// MaxRounds bounds under-approximation refinement rounds.
 	MaxRounds int
-	// InitialParams overrides the starting PFA sizes when non-zero.
-	InitialParams flatten.Params
 	// SkipOverApprox disables the UNSAT gate (for ablation studies).
 	SkipOverApprox bool
 	// OverApproxOnly stops after the over-approximation phase: the gate
@@ -65,24 +63,7 @@ type Options struct {
 	// with reason "rounds exhausted". This is the cheap refutation-only
 	// engine the portfolio races alongside the refinement loop.
 	OverApproxOnly bool
-	// Incremental selects the refinement engine. The zero value
-	// (IncrementalOn) keeps one arithmetic solver session alive per
-	// case-split branch, so round r+1 reuses round r's learned
-	// clauses, activity and simplex state under assumption literals.
-	// IncrementalOff re-solves every round cold (the A/B baseline).
-	Incremental IncrementalMode
-	// Lia tunes the arithmetic backend (budgets, not deadline).
-	Lia lia.Options
 }
-
-// IncrementalMode toggles the incremental refinement engine.
-type IncrementalMode int
-
-// Incremental engine modes. The zero value is on.
-const (
-	IncrementalOn IncrementalMode = iota
-	IncrementalOff
-)
 
 // Result is the solver outcome. Model is non-nil exactly when Status is
 // StatusSat, and has been validated by the concrete evaluator.
@@ -148,10 +129,7 @@ func solveCtx(prob *strcon.Problem, opts Options, ec *engine.Ctx) Result {
 	// abstractUnsat checks a constraint set with the over-approximation.
 	abstractUnsat := func(cons []strcon.Constraint) bool {
 		oa := overapprox.Abstract(prob, cons, ec)
-		o := opts.Lia
-		o.Ctx = ec
-		o.OnModel = oa.OnModel
-		res, _ := lia.Solve(oa.Formula, &o)
+		res, _ := lia.Solve(oa.Formula, &lia.Options{Ctx: ec, OnModel: oa.OnModel})
 		return res == lia.ResUnsat
 	}
 
@@ -174,10 +152,7 @@ func solveCtx(prob *strcon.Problem, opts Options, ec *engine.Ctx) Result {
 		return Result{Status: StatusUnsat, OverApproxDecided: true, Stats: st}
 	}
 
-	params := opts.InitialParams
-	if params.M == 0 {
-		params = flatten.Params{M: 5, Loops: 2, LoopLen: 2}
-	}
+	params := flatten.Params{M: 5, Loops: 2, LoopLen: 2}
 	maxRounds := opts.MaxRounds
 	if maxRounds == 0 {
 		maxRounds = 3
@@ -202,7 +177,7 @@ func solveCtx(prob *strcon.Problem, opts Options, ec *engine.Ctx) Result {
 		out.Rounds = round + 1
 		st.Add("rounds", 1)
 		roundCtx := ec.Child(fmt.Sprintf("round%d", round))
-		if win := runBranches(prob, states, params, opts, roundCtx); win != nil {
+		if win := runBranches(prob, states, params, roundCtx); win != nil {
 			if win.validated {
 				out.Status = StatusSat
 				out.Model = win.model
@@ -241,8 +216,8 @@ func UnknownReason(ec *engine.Ctx) string {
 
 // branchState is the per-branch state the refinement loop keeps across
 // rounds: the case-split conjuncts, a private problem clone (its own
-// lia pool, growing round over round), and — with the incremental
-// engine — the persistent arithmetic session.
+// lia pool, growing round over round) and the persistent arithmetic
+// session.
 type branchState struct {
 	branch []strcon.Constraint
 	bp     *strcon.Problem
@@ -258,40 +233,24 @@ type branchOutcome struct {
 	model     *strcon.Assignment
 }
 
-// solveBranch flattens one branch on a private clone of the problem
-// (its own lia pool, so no flattening allocates variables in the shared
-// problem or in another branch) and validates any model against the
-// full original problem.
+// solveBranch flattens one branch on the branch's private clone of the
+// problem (its own lia pool, so no flattening allocates variables in the
+// shared problem or in another branch) and validates any model against
+// the full original problem.
 //
-// With the incremental engine the clone and the arithmetic session
-// persist on the branch state across rounds: the flattening of round
-// r+1 enters the same solver under a fresh activation literal, reusing
-// learned clauses, activity and simplex state (see lia.Session). With
-// IncrementalOff every round re-solves cold from a fresh clone.
+// The clone and the arithmetic session persist on the branch state
+// across rounds: the flattening of round r+1 enters the same solver
+// under a fresh activation literal, reusing learned clauses, activity
+// and simplex state (see lia.Session).
 func solveBranch(prob *strcon.Problem, bs *branchState,
-	params flatten.Params, opts Options, ec *engine.Ctx) branchOutcome {
-	var res lia.Result
-	var m lia.Model
-	var fl *flatten.Result
-	if opts.Incremental == IncrementalOn {
-		if bs.bp == nil {
-			bs.bp = prob.WithConstraints(bs.branch)
-		}
-		fl = flatten.Flatten(bs.bp, bs.branch, params, ec)
-		if bs.sess == nil {
-			o := opts.Lia
-			o.Ctx = ec
-			bs.sess = lia.NewSession(&o)
-		}
-		res, m = bs.sess.SolveRound(fl.Formula, fl.OnModel, ec)
-	} else {
-		bp := prob.WithConstraints(bs.branch)
-		fl = flatten.Flatten(bp, bs.branch, params, ec)
-		o := opts.Lia
-		o.Ctx = ec
-		o.OnModel = fl.OnModel
-		res, m = lia.Solve(fl.Formula, &o)
+	params flatten.Params, ec *engine.Ctx) branchOutcome {
+	if bs.bp == nil {
+		bs.bp = prob.WithConstraints(bs.branch)
+		// SolveRound binds the session to each round's context.
+		bs.sess = lia.NewSession(nil)
 	}
+	fl := flatten.Flatten(bs.bp, bs.branch, params, ec)
+	res, m := bs.sess.SolveRound(fl.Formula, fl.OnModel, ec)
 	if res != lia.ResSat {
 		// "No solution within the current PFA domains" or unknown;
 		// other branches and larger parameters remain.
@@ -315,12 +274,12 @@ func solveBranch(prob *strcon.Problem, bs *branchState,
 // runBranches scans the branches in order and returns the first hit,
 // or nil when the whole round comes up dry.
 func runBranches(prob *strcon.Problem, states []*branchState,
-	params flatten.Params, opts Options, ec *engine.Ctx) *branchOutcome {
+	params flatten.Params, ec *engine.Ctx) *branchOutcome {
 	for i, bs := range states {
 		if ec.Expired() {
 			return nil
 		}
-		out := solveBranch(prob, bs, params, opts, ec.Child(fmt.Sprintf("branch%d", i)))
+		out := solveBranch(prob, bs, params, ec.Child(fmt.Sprintf("branch%d", i)))
 		if out.hit {
 			return &out
 		}
@@ -408,11 +367,11 @@ func flattenAnd(c strcon.Constraint) []strcon.Constraint {
 
 // StaticLoopLen mirrors the paper's "q obtained from our internal
 // static analysis": a loop length derived from the longest constant
-// string in the constraints, clamped to a practical range. The default
-// strategy starts at the smaller (2,2) shape — which already represents
+// string in the constraints, clamped to a practical range. The solver
+// itself starts at the smaller (2,2) shape — which already represents
 // every word of length <= 5 exactly and keeps synchronization products
-// small — and relies on refinement to grow; this helper is exposed for
-// callers that want the paper's variant via Options.InitialParams.
+// small — and relies on refinement to grow; the portfolio reads this
+// estimate as a scheduling feature.
 func StaticLoopLen(prob *strcon.Problem) int {
 	longest := 0
 	var scanTerm func(t strcon.Term)

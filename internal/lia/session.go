@@ -9,7 +9,7 @@ import (
 // refinement loop: the SAT solver, the simplex tableau, the atom and
 // expression interning maps and the presolver live across rounds, so
 // learned clauses, variable activity and slack definitions earned in
-// round r keep working in round r+1.
+// round r keep working in round r+1. Solve is a session searched once.
 //
 // Formulas added with AddPersistent hold in every round. Each
 // SolveRound(f) conjoins f under a fresh activation literal act_r —
@@ -34,7 +34,7 @@ import (
 type Session struct {
 	opts Options
 	ps   *presolver
-	d    *dpllt
+	d    *dpllt    // nil until the first formula is encoded; see engine
 	base []Formula // persistent formulas, for the defensive model check
 	acts []sat.Lit // activation literal of round r at index r-1
 	dead bool      // persistent part contradictory; every round is unsat
@@ -44,29 +44,38 @@ type Session struct {
 	lastAtoms     int64
 }
 
-// NewSession creates an empty session. The options' budgets apply per
+// NewSession creates an empty session. The search budgets apply per
 // SolveRound call; the context can be rebound per call.
 func NewSession(opts *Options) *Session {
-	o := opts.defaults()
-	ps := &presolver{}
-	s := &Session{opts: o, ps: ps}
+	s := &Session{ps: &presolver{}}
+	if opts != nil {
+		s.opts = *opts
+	}
+	return s
+}
+
+// engine returns the session's DPLL(T) engine, building it on first
+// use: a Solve whose formula presolves to a constant never needs one.
+func (s *Session) engine() *dpllt {
+	if s.d != nil {
+		return s.d
+	}
 	s.d = &dpllt{
-		opts:  o,
+		opts:  s.opts,
 		sat:   sat.New(),
 		byKey: make(map[string]int),
 		exprs: make(map[string]*exprRec),
 		vars:  make(map[Var]bool),
-		ps:    ps,
-		stats: o.Ctx.Stats().Child("lia"),
+		ps:    s.ps,
+		stats: s.opts.Ctx.Stats().Child("lia"),
 	}
-	s.d.sat.Budget = o.SatConflictBudget
-	s.d.sat.Ctx = o.Ctx
-	s.d.sat.Stats = o.Ctx.Stats().Child("sat")
+	s.d.sat.Budget = satConflictBudget
+	s.d.sat.Ctx = s.opts.Ctx
 	// Once a variable has been encoded it must never be presolved away:
 	// its defining facts would vanish from the residue while its atoms
 	// stay live. The engine's variable set is exactly that frontier.
-	ps.frozen = s.d.vars
-	return s
+	s.ps.frozen = s.d.vars
+	return s.d
 }
 
 // Dead reports that the persistent part of the session is contradictory
@@ -77,26 +86,31 @@ func (s *Session) Dead() bool { return s.dead }
 // the presolver on it (pins and aliases harvested here rewrite all
 // later round formulas), so persistent facts should be added before the
 // first SolveRound.
-func (s *Session) AddPersistent(f Formula) {
+func (s *Session) AddPersistent(f Formula) { s.addPersistent(f) }
+
+// addPersistent is AddPersistent returning the presolved residue of f,
+// a Bool when presolve decided it.
+func (s *Session) addPersistent(f Formula) Formula {
 	if s.dead {
-		return
+		return False
 	}
 	g := s.ps.apply(nnf(f, false))
 	g = s.ps.run(g)
 	g = s.ps.run(nnf(g, false))
+	s.base = append(s.base, f)
 	if b, ok := g.(Bool); ok {
 		if !bool(b) {
 			s.dead = true
 		}
-		s.base = append(s.base, f)
-		return
+		return g
 	}
-	s.base = append(s.base, f)
-	root := s.d.encode(g, 0)
-	s.d.sat.AddClause(root)
-	if s.d.sx != nil {
-		s.d.wireNewAtoms()
+	d := s.engine()
+	root := d.encode(g, 0)
+	d.sat.AddClause(root)
+	if d.sx != nil {
+		d.wireNewAtoms()
 	}
+	return g
 }
 
 // SolveRound conjoins f under a fresh activation literal, disables all
@@ -104,8 +118,7 @@ func (s *Session) AddPersistent(f Formula) {
 // lazy-lemma screen (see Options.OnModel); lemmas it returns are kept
 // for later rounds, which is sound because they are valid facts over
 // round-local variables. ec, when non-nil, rebinds the deadline,
-// cancellation and statistics sink for this call (budgets still come
-// from the session options).
+// cancellation and statistics sink for this call.
 func (s *Session) SolveRound(f Formula, onModel func(Model) Formula, ec *engine.Ctx) (Result, Model) {
 	if ec != nil {
 		s.rebind(ec)
@@ -113,9 +126,7 @@ func (s *Session) SolveRound(f Formula, onModel func(Model) Formula, ec *engine.
 	if s.dead {
 		return ResUnsat, nil
 	}
-	d := s.d
-	st := d.opts.Ctx.Stats()
-	liaStats := d.stats
+	d := s.engine()
 
 	// Round-local presolve on a fork: the round formula gets the full
 	// harvest-and-substitute treatment (minus already-encoded, frozen
@@ -123,7 +134,7 @@ func (s *Session) SolveRound(f Formula, onModel func(Model) Formula, ec *engine.
 	// round forks from the persistent history again. The engine's
 	// presolver pointer follows the fork so model completion and lazy
 	// lemmas rewrite consistently.
-	stopPresolve := liaStats.Time("time.presolve")
+	stopPresolve := d.stats.Time("time.presolve")
 	psr := s.ps.fork(d.vars)
 	g := psr.apply(nnf(f, false))
 	g = psr.run(g)
@@ -140,8 +151,23 @@ func (s *Session) SolveRound(f Formula, onModel func(Model) Formula, ec *engine.
 	s.acts = append(s.acts, act)
 	root := d.encode(g, 0)
 	d.sat.AddClause(act.Flip(), root)
+
+	assume := make([]sat.Lit, len(s.acts))
+	for i, a := range s.acts[:len(s.acts)-1] {
+		assume[i] = a.Flip()
+	}
+	assume[len(s.acts)-1] = act
+	return s.search(assume, f, onModel)
+}
+
+// search runs one DPLL(T) search under the given assumptions. It wires
+// what encode added since the last search into the simplex, resets the
+// per-call state, records the search statistics, and checks any model
+// against round (when non-nil) and every persistent formula.
+func (s *Session) search(assume []sat.Lit, round Formula, onModel func(Model) Formula) (Result, Model) {
+	d := s.d
 	if d.sx == nil {
-		// First round: finish the one-time construction (the simplex
+		// First search: finish the one-time construction (the simplex
 		// identity mapping covers every variable seen so far; later
 		// arrivals get extra simplex ids on demand).
 		d.initSimplex()
@@ -154,13 +180,8 @@ func (s *Session) SolveRound(f Formula, onModel func(Model) Formula, ec *engine.
 	} else {
 		d.wireNewAtoms()
 	}
-
-	assume := make([]sat.Lit, len(s.acts))
-	for i, a := range s.acts[:len(s.acts)-1] {
-		assume[i] = a.Flip()
-	}
-	assume[len(s.acts)-1] = act
 	d.sat.Assumptions = assume
+	d.sat.Stats = d.opts.Ctx.Stats().Child("sat")
 
 	// Per-call state: budgets are counted per Solve call by the SAT and
 	// simplex layers; the abort flag, candidate model and model screen
@@ -169,12 +190,12 @@ func (s *Session) SolveRound(f Formula, onModel func(Model) Formula, ec *engine.
 	d.finalModel = nil
 	d.opts.OnModel = onModel
 
-	liaStats.Add("atoms", int64(len(d.atoms))-s.lastAtoms)
+	d.stats.Add("atoms", int64(len(d.atoms))-s.lastAtoms)
 	s.lastAtoms = int64(len(d.atoms))
-	stopSearch := liaStats.Time("time.search")
+	stopSearch := d.stats.Time("time.search")
 	defer func() {
 		stopSearch()
-		sxStats := st.Child("simplex")
+		sxStats := d.opts.Ctx.Stats().Child("simplex")
 		sxStats.Add("pivots", d.sx.Pivots-s.lastPivots)
 		sxStats.Add("refactors", d.sx.Refactors-s.lastRefactors)
 		s.lastPivots, s.lastRefactors = d.sx.Pivots, d.sx.Refactors
@@ -191,16 +212,19 @@ func (s *Session) SolveRound(f Formula, onModel func(Model) Formula, ec *engine.
 	case sat.Unknown:
 		return ResUnknown, nil
 	}
-	m := d.finalModel
+	return s.checkModel(round, d.finalModel)
+}
+
+// checkModel is the defensive model check: a model must satisfy the
+// round formula (when non-nil) and every persistent formula.
+func (s *Session) checkModel(round Formula, m Model) (Result, Model) {
 	if m == nil {
 		return ResUnknown, nil
 	}
-	if !Eval(f, m) {
-		// Defensive: the model must satisfy this round's formula…
+	if round != nil && !Eval(round, m) {
 		return ResUnknown, nil
 	}
 	for _, b := range s.base {
-		// …and every persistent formula.
 		if !Eval(b, m) {
 			return ResUnknown, nil
 		}
@@ -213,10 +237,12 @@ func (s *Session) SolveRound(f Formula, onModel func(Model) Formula, ec *engine.
 // is recorded under that round's stats subtree.
 func (s *Session) rebind(ec *engine.Ctx) {
 	s.opts.Ctx = ec
+	if s.d == nil {
+		return
+	}
 	s.d.opts.Ctx = ec
 	s.d.sat.Ctx = ec
 	s.d.stats = ec.Stats().Child("lia")
-	s.d.sat.Stats = ec.Stats().Child("sat")
 	if s.d.sx != nil {
 		s.d.sx.Ctx = ec
 	}

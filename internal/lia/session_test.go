@@ -4,6 +4,8 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 func TestSessionRoundsSupersede(t *testing.T) {
@@ -132,5 +134,46 @@ func TestSessionAgainstFreshSolve(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSolveStatsTree checks the statistics a one-shot Solve records. The
+// benchmark's per-layer metrics read these keys; lia/time.presolve in
+// particular is the over-approximation's presolve time.
+func TestSolveStatsTree(t *testing.T) {
+	pool := NewPool()
+	x := pool.Fresh("x")
+	y := pool.Fresh("y")
+	f := And(
+		Ge(V(x), Const(0)), Ge(V(y), Const(0)),
+		Le(NewLin().AddTermInt(x, 1).AddTermInt(y, 1), Const(3)),
+		Or(Ge(V(x), Const(5)), Ge(V(y), Const(5))),
+	)
+	ec := engine.Background()
+	if res, _ := Solve(f, &Options{Ctx: ec}); res != ResUnsat {
+		t.Fatalf("Solve = %v, want unsat", res)
+	}
+	snap := ec.Stats().Snapshot()
+	node := func(name string) *engine.Snapshot {
+		n := snap.Children[name]
+		if n == nil {
+			t.Fatalf("stats tree has no %q node", name)
+		}
+		return n
+	}
+	lia, satNode, sx := node("lia"), node("sat"), node("simplex")
+	if _, ok := lia.Counters["atoms"]; !ok {
+		t.Error("missing lia/atoms")
+	}
+	for _, timer := range []string{"time.presolve", "time.search"} {
+		if _, ok := lia.TimersNS[timer]; !ok {
+			t.Errorf("missing lia/%s", timer)
+		}
+	}
+	if _, ok := satNode.Counters["conflicts"]; !ok {
+		t.Error("missing sat/conflicts")
+	}
+	if _, ok := sx.Counters["pivots"]; !ok {
+		t.Error("missing simplex/pivots")
 	}
 }

@@ -32,43 +32,29 @@ func (r Result) String() string {
 	return "?"
 }
 
-// Options tune the DPLL(T) search. The zero value selects defaults.
+// Options configure a Solve or a Session. The zero value searches with
+// no deadline, no statistics sink and no model screen.
 type Options struct {
 	// Ctx, when non-nil, carries the deadline and cancellation flag
 	// (polled inside the SAT and simplex hot loops) and the statistics
 	// tree the search records into. A stopped context aborts the search
 	// with ResUnknown.
 	Ctx *engine.Ctx
-	// SatConflictBudget bounds conflicts per SAT call.
-	SatConflictBudget int64
-	// BBNodeBudget bounds branch-and-bound nodes per final check.
-	BBNodeBudget int
-	// PivotBudget bounds simplex pivots per consistency check.
-	PivotBudget int64
 	// OnModel, when set, screens each candidate model. Returning nil
 	// accepts the model; returning a formula rejects it and conjoins
 	// the formula as a lemma (the lemma must be satisfied by every
 	// intended solution, or Solve's answers become unsound). Used for
-	// lazy constraint generation such as connectivity cuts.
+	// lazy constraint generation such as connectivity cuts. A Session
+	// ignores it: each SolveRound passes its own screen.
 	OnModel func(Model) Formula
 }
 
-func (o *Options) defaults() Options {
-	r := Options{}
-	if o != nil {
-		r = *o
-	}
-	if r.SatConflictBudget == 0 {
-		r.SatConflictBudget = 2000000
-	}
-	if r.BBNodeBudget == 0 {
-		r.BBNodeBudget = 6000
-	}
-	if r.PivotBudget == 0 {
-		r.PivotBudget = 2000000
-	}
-	return r
-}
+// Search budgets; running out answers ResUnknown.
+const (
+	satConflictBudget = 2000000 // conflicts per SAT search
+	bbNodeBudget      = 6000    // branch-and-bound nodes per final check
+	pivotBudget       = 2000000 // simplex pivots per consistency check
+)
 
 // atomRec is one canonical theory atom: comb <= Bound (upper) or comb
 // >= Bound (lower), where comb is identified by exprKey.
@@ -125,78 +111,25 @@ type dpllt struct {
 
 // Solve decides satisfiability of the quantifier-free LIA formula f
 // over integer-valued variables. On ResSat the model satisfies f.
+//
+// Solve is a Session searched once, with f as its persistent part: f's
+// encoding is a unit clause, so its implications hold at decision level
+// 0, and the search runs with no activation literal and no assumptions.
 func Solve(f Formula, opts *Options) (Result, Model) {
-	o := opts.defaults()
-	st := o.Ctx.Stats()
-	liaStats := st.Child("lia")
-
-	stopPresolve := liaStats.Time("time.presolve")
-	ps := &presolver{}
-	g := ps.run(nnf(f, false))
-	// Presolve can expose new top-level structure after substitution;
-	// re-normalize.
-	g = nnf(g, false)
-	g = ps.run(g)
+	s := NewSession(opts)
+	stopPresolve := s.opts.Ctx.Stats().Child("lia").Time("time.presolve")
+	g := s.addPersistent(f)
 	stopPresolve()
-
 	if b, ok := g.(Bool); ok {
 		if !bool(b) {
 			return ResUnsat, nil
 		}
+		// Presolve settled every variable: there is nothing to search.
 		m := Model{}
-		ps.complete(m)
-		if !Eval(f, m) {
-			return ResUnknown, nil
-		}
-		return ResSat, m
+		s.ps.complete(m)
+		return s.checkModel(nil, m)
 	}
-
-	d := &dpllt{
-		opts:  o,
-		sat:   sat.New(),
-		byKey: make(map[string]int),
-		exprs: make(map[string]*exprRec),
-		vars:  make(map[Var]bool),
-		ps:    ps,
-		stats: liaStats,
-	}
-	root := d.encode(g, 0)
-	d.sat.AddClause(root)
-	d.sat.Budget = d.opts.SatConflictBudget
-	d.sat.Ctx = d.opts.Ctx
-	d.sat.Stats = st.Child("sat")
-	d.initSimplex()
-	d.atomOfVar = make(map[int]int, len(d.atoms))
-	for i, a := range d.atoms {
-		d.atomOfVar[a.satVar] = i
-	}
-	d.assertedPol = make([]int8, len(d.atoms))
-	d.sat.Theory = d
-
-	liaStats.Add("atoms", int64(len(d.atoms)))
-	stopSearch := liaStats.Time("time.search")
-	defer func() {
-		stopSearch()
-		sxStats := st.Child("simplex")
-		sxStats.Add("pivots", d.sx.Pivots)
-		sxStats.Add("refactors", d.sx.Refactors)
-	}()
-
-	switch d.sat.Solve() {
-	case sat.Unsat:
-		return ResUnsat, nil
-	case sat.Unknown:
-		return ResUnknown, nil
-	}
-	m := d.finalModel
-	if m == nil {
-		return ResUnknown, nil
-	}
-	if !Eval(f, m) {
-		// Defensive: the final model must satisfy the input.
-		return ResUnknown, nil
-	}
-	return ResSat, m
+	return s.search(nil, nil, s.opts.OnModel)
 }
 
 // --- sat.TheoryClient implementation -------------------------------
@@ -269,7 +202,7 @@ func (d *dpllt) TheoryFinal() (sat.FinalResult, []sat.Lit) {
 	if d.opts.Ctx.Expired() {
 		return sat.FinalUnknown, nil
 	}
-	bb := &simplex.IntSolver{S: d.sx, IntVars: d.intVars, NodeBudget: d.opts.BBNodeBudget}
+	bb := &simplex.IntSolver{S: d.sx, IntVars: d.intVars, NodeBudget: bbNodeBudget}
 	res, model, confl := bb.Solve()
 	switch res {
 	case simplex.IntUnknown:
@@ -479,7 +412,7 @@ func (d *dpllt) initSimplex() {
 	d.identityLimit = maxVar + 1
 	d.extraSv = make(map[Var]int)
 	d.sx = simplex.New(maxVar + 1)
-	d.sx.PivotBudget = d.opts.PivotBudget
+	d.sx.PivotBudget = pivotBudget
 	d.sx.Ctx = d.opts.Ctx
 	for _, v := range sortedVars(d.vars) {
 		d.registerIntVar(int(v))
@@ -617,7 +550,7 @@ func (d *dpllt) subsetCheck(subset []int) (infeasible bool, subcore []int) {
 	m := len(ids)
 	local := func(v Var) int { return sort.SearchInts(ids, d.svOf(v)) }
 	scratch := simplex.New(m)
-	scratch.PivotBudget = d.opts.PivotBudget / 4
+	scratch.PivotBudget = pivotBudget / 4
 	scratch.Ctx = d.opts.Ctx
 	slackOf := make(map[string]int)
 	for _, i := range subset {
@@ -666,7 +599,7 @@ func (d *dpllt) subsetCheck(subset []int) (infeasible bool, subcore []int) {
 	for v := range intVars {
 		intVars[v] = v
 	}
-	bb := &simplex.IntSolver{S: scratch, IntVars: intVars, NodeBudget: d.opts.BBNodeBudget / 8}
+	bb := &simplex.IntSolver{S: scratch, IntVars: intVars, NodeBudget: bbNodeBudget / 8}
 	res, _, c := bb.Solve()
 	if res != simplex.IntUnsat {
 		return false, nil

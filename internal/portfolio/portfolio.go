@@ -16,9 +16,10 @@ type Config struct {
 	// Backends is the candidate pool, in registry order (nil means the
 	// whole registry).
 	Backends []backend.Backend
-	// MaxRace bounds how many backends race per solve (default 3).
-	MaxRace int
 }
+
+// maxRace bounds how many backends race per solve.
+const maxRace = 3
 
 // record is the per-bucket, per-backend outcome history.
 type record struct {
@@ -30,7 +31,6 @@ type record struct {
 // backend.Backend and is safe for concurrent use.
 type Solver struct {
 	backends []backend.Backend
-	maxRace  int
 
 	mu     sync.Mutex
 	races  int64
@@ -44,11 +44,7 @@ func New(cfg Config) *Solver {
 	if len(bs) == 0 {
 		bs = backend.All()
 	}
-	maxRace := cfg.MaxRace
-	if maxRace <= 0 {
-		maxRace = 3
-	}
-	return &Solver{backends: bs, maxRace: maxRace, hist: map[string]map[string]*record{}}
+	return &Solver{backends: bs, hist: map[string]map[string]*record{}}
 }
 
 // Name implements backend.Backend.
@@ -260,11 +256,7 @@ func (s *Solver) schedule(f Features, bucket string) []backend.Backend {
 		}
 		return cands[i].pos < cands[j].pos
 	})
-	k := s.maxRace
-	if k > len(cands) {
-		k = len(cands)
-	}
-	sel := cands[:k]
+	sel := cands[:min(maxRace, len(cands))]
 	if a := s.anchor(); a >= 0 {
 		present := false
 		for _, c := range sel {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -1130,46 +1131,42 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, s.snapshotStats())
 }
 
-// handleMetrics is the flat machine-readable view: one JSON object of
-// numeric gauges/counters, keys stable and sorted by encoding/json.
+// handleMetrics is the flat machine-readable view of /stats: every
+// numeric leaf of the same snapshot under its JSON path joined with "_"
+// (requests.sat becomes requests_sat). Strings and arrays are left out;
+// encoding/json sorts the keys.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	st := s.snapshotStats()
-	m := map[string]float64{
-		"uptime_ms":                      st.UptimeMS,
-		"requests_accepted_total":        float64(st.Requests.Accepted),
-		"requests_parse_errors_total":    float64(st.Requests.ParseErrors),
-		"requests_rejected_queue_total":  float64(st.Requests.RejectedQueue),
-		"requests_rejected_drain_total":  float64(st.Requests.RejectedDrain),
-		"requests_rejected_tenant_total": float64(st.Requests.RejectedTenant),
-		"requests_sat_total":             float64(st.Requests.Sat),
-		"requests_unsat_total":           float64(st.Requests.Unsat),
-		"requests_unknown_total":         float64(st.Requests.Unknown),
-		"requests_timeouts_total":        float64(st.Requests.Timeouts),
-		"requests_cache_served_total":    float64(st.Requests.CacheServed),
-		"requests_reval_failures_total":  float64(st.Requests.RevalFailures),
-		"requests_uncacheable_total":     float64(st.Requests.Uncacheable),
-		"requests_clients_gone_total":    float64(st.Requests.ClientsGone),
-		"requests_active":                float64(st.Requests.ActiveRequests),
-		"requests_coalesced_total":       float64(st.Dedup.Coalesced),
-		"coalesce_fallbacks_total":       float64(st.Dedup.Fallbacks),
-		"batch_jobs_total":               float64(st.Batch.Jobs),
-		"batch_instances_total":          float64(st.Batch.Instances),
-		"batch_drained_total":            float64(st.Batch.Drained),
-		"batch_jobs_stored":              float64(st.Batch.Stored),
-		"cache_entries":                  float64(st.Cache.Entries),
-		"cache_capacity":                 float64(st.Cache.Capacity),
-		"cache_hits_total":               float64(st.Cache.Hits),
-		"cache_misses_total":             float64(st.Cache.Misses),
-		"cache_evictions_total":          float64(st.Cache.Evictions),
-		"queue_depth":                    float64(st.Queue.Depth),
-		"queue_batch_depth":              float64(st.Queue.BatchDepth),
-		"queue_capacity":                 float64(st.Queue.Capacity),
-		"queue_interactive_wait_max_ms":  st.Queue.InteractiveWait.MaxMS,
-		"queue_batch_wait_max_ms":        st.Queue.BatchWait.MaxMS,
-		"workers":                        float64(st.Queue.Workers),
-		"faults_contained_total":         float64(st.Faults.Contained),
+	raw, err := json.Marshal(s.snapshotStats())
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, "encode stats: %v", err)
+		return
 	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var tree any
+	if err := dec.Decode(&tree); err != nil {
+		s.writeError(w, http.StatusInternalServerError, "decode stats: %v", err)
+		return
+	}
+	m := map[string]json.Number{}
+	flattenNumbers(tree, "", m)
 	s.writeJSON(w, http.StatusOK, m)
+}
+
+// flattenNumbers adds every number in a decoded JSON value to out under
+// its object path joined with "_".
+func flattenNumbers(v any, path string, out map[string]json.Number) {
+	switch t := v.(type) {
+	case json.Number:
+		out[path] = t
+	case map[string]any:
+		for k, c := range t {
+			if path != "" {
+				k = path + "_" + k
+			}
+			flattenNumbers(c, k, out)
+		}
+	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -190,15 +190,8 @@ func TestStatsAndMetricsEndpoints(t *testing.T) {
 	}
 	postSolve(t, ts.URL, solveRequest{SMTLIB: src}) // cache hit
 
-	httpResp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatalf("GET /stats: %v", err)
-	}
-	defer httpResp.Body.Close()
 	var st statsResponse
-	if err := json.NewDecoder(httpResp.Body).Decode(&st); err != nil {
-		t.Fatalf("decode /stats: %v", err)
-	}
+	getJSON(t, ts.URL+"/stats", &st)
 	if st.Requests.Sat != 1 {
 		t.Fatalf("stats sat = %d, want 1", st.Requests.Sat)
 	}
@@ -213,17 +206,56 @@ func TestStatsAndMetricsEndpoints(t *testing.T) {
 		t.Fatal("engine stats snapshot empty after a solve")
 	}
 
-	metResp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
+	// /metrics is /stats flattened: every numeric field of these sections
+	// appears under its JSON path joined with "_", with its /stats value.
+	var statsTree map[string]any
+	getJSON(t, ts.URL+"/stats", &statsTree)
+	var metrics map[string]json.Number
+	getJSON(t, ts.URL+"/metrics", &metrics)
+	checked := 0
+	var check func(path string, v any)
+	check = func(path string, v any) {
+		switch n := v.(type) {
+		case json.Number:
+			checked++
+			if got, ok := metrics[path]; !ok || got != n {
+				t.Errorf("metrics[%q] = %q (present %v), want /stats value %q", path, got, ok, n)
+			}
+		case map[string]any:
+			for k, c := range n {
+				check(path+"_"+k, c)
+			}
+		}
 	}
-	defer metResp.Body.Close()
-	var metrics map[string]float64
-	if err := json.NewDecoder(metResp.Body).Decode(&metrics); err != nil {
-		t.Fatalf("decode /metrics: %v", err)
+	for _, section := range []string{"requests", "cache", "queue", "dedup", "batch"} {
+		fields, ok := statsTree[section].(map[string]any)
+		if !ok {
+			t.Fatalf("/stats has no %q object", section)
+		}
+		check(section, fields)
 	}
-	if metrics["requests_sat_total"] != 1 || metrics["cache_hits_total"] != 1 {
+	if checked < 30 {
+		t.Fatalf("compared %d /stats fields, want at least 30", checked)
+	}
+	if metrics["requests_sat"] != "1" || metrics["cache_hits"] != "1" {
 		t.Fatalf("metrics = %v", metrics)
+	}
+}
+
+// getJSON decodes the JSON body of a GET into v, with numbers as
+// json.Number wherever v leaves the type open, so values compare
+// exactly.
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	dec.UseNumber()
+	if err := dec.Decode(v); err != nil {
+		t.Fatalf("decode %s: %v", url, err)
 	}
 }
 
