@@ -10,22 +10,6 @@ import (
 	"repro/internal/strcon"
 )
 
-// equivInstances is the differential corpus: every generator of the
-// benchmark tables plus the small end of the checkLuhn family.
-func equivInstances() []*Instance {
-	var insts []*Instance
-	for _, s := range Table1Suites(4) {
-		insts = append(insts, s.Instances...)
-	}
-	for _, s := range Table2Suites(4) {
-		insts = append(insts, s.Instances...)
-	}
-	for k := 2; k <= 6; k++ {
-		insts = append(insts, Luhn(k))
-	}
-	return insts
-}
-
 // solveMode runs one instance through the decision procedure. timedOut
 // reports whether the solve hit its deadline, which excuses an Unknown
 // verdict in a cross-run comparison.
