@@ -181,25 +181,6 @@ func (e *LinExpr) Eval(m Model) *big.Int {
 
 var bigZero = new(big.Int)
 
-// key returns a canonical string for the variable part of e (excluding
-// the constant), used to share slack variables between atoms over the
-// same linear combination.
-func (e *LinExpr) key() string {
-	vs := e.Vars()
-	var b strings.Builder
-	for _, v := range vs {
-		b.WriteString(e.terms[v].String())
-		b.WriteByte('*')
-		b.WriteString(itoa(int(v)))
-		b.WriteByte(' ')
-	}
-	return b.String()
-}
-
-func itoa(n int) string {
-	return big.NewInt(int64(n)).String()
-}
-
 // String renders e using the pool's variable names.
 func (e *LinExpr) String(p *Pool) string {
 	var b strings.Builder

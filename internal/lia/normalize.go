@@ -1,6 +1,9 @@
 package lia
 
-import "math/big"
+import (
+	"math/big"
+	"strconv"
+)
 
 // maxFormulaDepth bounds recursion over formula trees. Formulas this
 // deep do not arise from the flattening pipeline (which builds shallow,
@@ -90,12 +93,19 @@ func normAtom(e *LinExpr, op Rel, neg bool) Formula {
 	panic("lia: unknown relation")
 }
 
+// comb is a linear combination in canonical form: GCD-reduced, with a
+// positive coefficient on its first variable.
+type comb struct {
+	key  string           // the coefficients rendered as text; equal combinations share it
+	vars []Var            // in increasing order
+	def  map[Var]*big.Int // coefficient of each variable
+}
+
 // canonAtom canonicalizes the LE atom e <= 0 into a bound on a
-// GCD-reduced, sign-normalized linear combination: it returns the
-// combination (as a coefficient map), its sharing key, the integer
-// bound, and whether the bound is an upper bound (comb <= bound) or a
-// lower bound (comb >= bound).
-func canonAtom(e *LinExpr) (key string, def map[Var]*big.Int, bound *big.Int, upper bool) {
+// canonical combination: it returns the combination, the integer bound,
+// and whether the bound is an upper bound (comb <= bound) or a lower
+// bound (comb >= bound).
+func canonAtom(e *LinExpr) (c comb, bound *big.Int, upper bool) {
 	vars := e.Vars()
 	if len(vars) == 0 {
 		// contract: normalization folds constant atoms first.
@@ -104,16 +114,21 @@ func canonAtom(e *LinExpr) (key string, def map[Var]*big.Int, bound *big.Int, up
 	// gcd of |coefficients|
 	g := new(big.Int).Abs(e.Coeff(vars[0]))
 	for _, v := range vars[1:] {
-		g.GCD(nil, nil, g, new(big.Int).Abs(e.Coeff(v)))
+		g.GCD(nil, nil, g, e.Coeff(v))
 	}
 	flip := e.Coeff(vars[0]).Sign() < 0
-	def = make(map[Var]*big.Int, len(vars))
+	def := make(map[Var]*big.Int, len(vars))
+	var key []byte
 	for _, v := range vars {
-		c := new(big.Int).Div(e.Coeff(v), g) // exact: g divides every coeff
+		a := new(big.Int).Div(e.Coeff(v), g) // exact: g divides every coeff
 		if flip {
-			c.Neg(c)
+			a.Neg(a)
 		}
-		def[v] = c
+		def[v] = a
+		key = a.Append(key, 10)
+		key = append(key, '*')
+		key = strconv.AppendInt(key, int64(v), 10)
+		key = append(key, ' ')
 	}
 	k := e.ConstPart()
 	bound = new(big.Int)
@@ -127,13 +142,7 @@ func canonAtom(e *LinExpr) (key string, def map[Var]*big.Int, bound *big.Int, up
 		ceilDiv(bound, k, g)
 		upper = false
 	}
-	// Sharing key over the normalized combination.
-	ke := NewLin()
-	for v, c := range def {
-		ke.AddTerm(v, c)
-	}
-	key = ke.key()
-	return key, def, bound, upper
+	return comb{key: string(key), vars: vars, def: def}, bound, upper
 }
 
 // floorDiv sets z = floor(a/b) for b > 0.

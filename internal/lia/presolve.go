@@ -118,11 +118,11 @@ func harvest(f Formula, pins map[Var]*big.Int, aliases map[Var]aliasTo, frozen m
 		if !isAtom || a.Op != LE || a.E.NumTerms() > 2 {
 			continue
 		}
-		key, def, bnd, upper := canonAtom(a.E)
-		r, ok := ranges[key]
+		c, bnd, upper := canonAtom(a.E)
+		r, ok := ranges[c.key]
 		if !ok {
-			r = &rng{def: def}
-			ranges[key] = r
+			r = &rng{def: c.def}
+			ranges[c.key] = r
 		}
 		if upper {
 			if r.hi == nil || bnd.Cmp(r.hi) < 0 {

@@ -63,7 +63,6 @@ func (s *Session) engine() *dpllt {
 	s.d = &dpllt{
 		opts:  s.opts,
 		sat:   sat.New(),
-		byKey: make(map[string]int),
 		exprs: make(map[string]*exprRec),
 		vars:  make(map[Var]bool),
 		ps:    s.ps,

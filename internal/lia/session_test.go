@@ -1,8 +1,10 @@
 package lia
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
@@ -77,10 +79,50 @@ func TestSessionTrivialRounds(t *testing.T) {
 }
 
 // TestSessionAgainstFreshSolve is the differential check of the
-// incremental engine: for random persistent bases and round sequences,
-// every SolveRound verdict must match a cold Solve of base ∧ round, and
-// every model must satisfy base ∧ round.
+// incremental engine: for a fixed case and for random persistent bases
+// and round sequences, every SolveRound verdict must match a cold Solve
+// of base ∧ round, and every model must satisfy base ∧ round. check
+// returns the verdicts.
 func TestSessionAgainstFreshSolve(t *testing.T) {
+	check := func(name string, pool *Pool, base Formula, rounds []Formula) []Result {
+		t.Helper()
+		sess := NewSession(nil)
+		sess.AddPersistent(base)
+		verdicts := make([]Result, len(rounds))
+		for r, f := range rounds {
+			got, m := sess.SolveRound(f, nil, nil)
+			verdicts[r] = got
+			want, _ := Solve(And(base, f), nil)
+			if got != want {
+				t.Fatalf("%s round %d: session=%v fresh=%v\nbase=%s\nround=%s",
+					name, r, got, want, String(base, pool), String(f, pool))
+			}
+			if got == ResSat {
+				if !Eval(base, m) || !Eval(f, m) {
+					t.Fatalf("%s round %d: session model violates base or round", name, r)
+				}
+			}
+		}
+		return verdicts
+	}
+
+	// The first round creates the bounds x+y <= 2 and x+y <= 7. With it
+	// switched off, the second round adds x+y <= 4 between them and
+	// holds 3 <= x+y <= 4, which the first round excluded. The third
+	// adds x+y <= 1 and x+y <= 8 outside them and is refuted by the
+	// chain alone.
+	pool := NewPool()
+	x, y := pool.Fresh("x"), pool.Fresh("y")
+	sum := func() *LinExpr { return V(x).Add(V(y)) }
+	got := check("chain", pool, And(Ge(V(x), Const(0)), Ge(V(y), Const(0))), []Formula{
+		Or(Le(sum(), Const(2)), Ge(sum(), Const(8))),
+		And(Ge(sum(), Const(3)), Le(sum(), Const(4))),
+		And(Or(Le(sum(), Const(1)), Ge(sum(), Const(9))), Ge(sum(), Const(3)), Le(sum(), Const(6))),
+	})
+	if want := []Result{ResSat, ResSat, ResUnsat}; !slices.Equal(got, want) {
+		t.Fatalf("chain: verdicts %v, want %v", got, want)
+	}
+
 	rng := rand.New(rand.NewSource(11))
 	randAtom := func(vars []Var) Formula {
 		e := NewLin()
@@ -117,23 +159,11 @@ func TestSessionAgainstFreshSolve(t *testing.T) {
 			vars[i] = pool.Fresh("v")
 		}
 		base := randConj(vars, 1+rng.Intn(3))
-		sess := NewSession(nil)
-		sess.AddPersistent(base)
-
-		for round := 0; round < 4; round++ {
-			f := randConj(vars, 1+rng.Intn(3))
-			got, m := sess.SolveRound(f, nil, nil)
-			want, _ := Solve(And(base, f), nil)
-			if got != want {
-				t.Fatalf("iter %d round %d: session=%v fresh=%v\nbase=%s\nround=%s",
-					iter, round, got, want, String(base, pool), String(f, pool))
-			}
-			if got == ResSat {
-				if !Eval(base, m) || !Eval(f, m) {
-					t.Fatalf("iter %d round %d: session model violates base or round", iter, round)
-				}
-			}
+		rounds := make([]Formula, 4)
+		for r := range rounds {
+			rounds[r] = randConj(vars, 1+rng.Intn(3))
 		}
+		check(fmt.Sprintf("iter %d", iter), pool, base, rounds)
 	}
 }
 

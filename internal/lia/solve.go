@@ -56,27 +56,36 @@ const (
 	pivotBudget       = 2000000 // simplex pivots per consistency check
 )
 
-// atomRec is one canonical theory atom: comb <= Bound (upper) or comb
-// >= Bound (lower), where comb is identified by exprKey.
+// atomRec is one canonical theory atom, the upper bound comb <= bound
+// on the combination expr. Asserted false it is the lower bound
+// comb >= bound+1, so a lower bound comb >= b is the atom comb <= b-1
+// asserted false: over the integers the two are one fact.
 type atomRec struct {
-	exprKey string
-	bound   *big.Int
-	upper   bool
-	satVar  int
-	// posNum/negNum are the bound precomputed as simplex Nums, so each
-	// assert is a machine-word comparison instead of fresh big.Rat and
-	// big.Int allocations: posNum is the bound itself (positive
-	// polarity); negNum is the negated atom's bound (bound+1 for upper
-	// atoms asserted as lower bounds, bound-1 for lower atoms asserted
-	// as upper bounds).
+	expr   *exprRec
+	bound  *big.Int
+	satVar int
+	// posNum/negNum are the asserted bounds precomputed as simplex Nums,
+	// so each assert is a machine-word comparison instead of fresh
+	// big.Rat and big.Int allocations: posNum is bound (the atom true),
+	// negNum is bound+1 (the atom false).
 	posNum simplex.Num
 	negNum simplex.Num
 }
 
+// assert asserts the atom with the given polarity on simplex variable
+// sv of sx, tagged with the atom's index.
+func (a *atomRec) assert(sx *simplex.Solver, sv int, polarity bool, tag int) *simplex.Conflict {
+	if polarity {
+		return sx.AssertUpperNum(sv, a.posNum, tag)
+	}
+	return sx.AssertLowerNum(sv, a.negNum, tag)
+}
+
+// exprRec is one interned combination with its atoms.
 type exprRec struct {
-	def  map[Var]*big.Int
-	vars []Var
-	sv   int // simplex variable (original var or slack), -1 until built
+	comb
+	sv    int   // simplex variable (original var or slack), -1 until built
+	atoms []int // indices of the atoms on this combination, by increasing bound
 }
 
 // dpllt is the online DPLL(T) engine: it implements sat.TheoryClient,
@@ -88,9 +97,8 @@ type dpllt struct {
 	opts  Options
 	sat   *sat.Solver
 	atoms []atomRec
-	byKey map[string]int // canonical atom key -> atom index
-	exprs map[string]*exprRec
-	vars  map[Var]bool // all theory variables
+	exprs map[string]*exprRec // by comb.key
+	vars  map[Var]bool        // all theory variables
 
 	sx            *simplex.Solver
 	intVars       []int
@@ -148,7 +156,8 @@ func (d *dpllt) TheoryAssert(l sat.Lit) []sat.Lit {
 	} else {
 		d.assertedPol[idx] = 2
 	}
-	if c := d.assertAtom(idx, pol); c != nil {
+	a := &d.atoms[idx]
+	if c := a.assert(d.sx, a.expr.sv, pol, idx); c != nil {
 		if c.Budget {
 			d.abort = true
 			return nil
@@ -343,7 +352,7 @@ func (d *dpllt) encode(f Formula, depth int) sat.Lit {
 		d.sat.AddClause(sat.MkLit(v, !bool(t)))
 		return sat.MkLit(v, false)
 	case *Atom:
-		return sat.MkLit(d.atomVar(t.E), false)
+		return d.atomLit(t.E)
 	case *NAry:
 		x := d.sat.NewVar()
 		xl := sat.MkLit(x, false)
@@ -365,39 +374,49 @@ func (d *dpllt) encode(f Formula, depth int) sat.Lit {
 	panic("lia: unexpected node in encode (input not in NNF?)")
 }
 
-// atomVar interns the LE atom e <= 0 and returns its SAT variable.
-func (d *dpllt) atomVar(e *LinExpr) int {
-	key, def, bound, upper := canonAtom(e)
-	full := key + "|" + bound.String()
-	if upper {
-		full += "|u"
-	} else {
-		full += "|l"
+// atomLit interns the LE atom e <= 0 and returns its literal. Every
+// theory atom is an upper bound comb <= b, so a lower bound comb >= b
+// is the negated literal of comb <= b-1 and a bound shares its SAT
+// variable with its complement. A new atom is linked to its nearest
+// neighbours on the same combination, comb <= lo < b < hi, by the
+// binary clauses (comb <= lo) -> (comb <= b) and (comb <= b) ->
+// (comb <= hi); unit propagation closes the chain, so CDCL never
+// decides a bound that an assigned bound on its combination implies.
+// The clauses are integer facts that hold in every round, so they take
+// no activation literal.
+func (d *dpllt) atomLit(e *LinExpr) sat.Lit {
+	c, bound, upper := canonAtom(e)
+	if !upper {
+		bound.Sub(bound, oneInt)
 	}
-	if i, ok := d.byKey[full]; ok {
-		return d.atoms[i].satVar
-	}
-	if _, ok := d.exprs[key]; !ok {
-		vars := make([]Var, 0, len(def))
-		for v := range def {
-			vars = append(vars, v)
+	er, ok := d.exprs[c.key]
+	if !ok {
+		for _, v := range c.vars {
 			d.vars[v] = true
 		}
-		sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
-		d.exprs[key] = &exprRec{def: def, vars: vars, sv: -1}
+		er = &exprRec{comb: c, sv: -1}
+		d.exprs[c.key] = er
+	}
+	i, found := slices.BinarySearchFunc(er.atoms, bound, func(a int, b *big.Int) int {
+		return d.atoms[a].bound.Cmp(b)
+	})
+	if found {
+		return sat.MkLit(d.atoms[er.atoms[i]].satVar, !upper)
 	}
 	v := d.sat.NewVar()
 	pos := simplex.NumFromBigInt(bound)
-	neg := pos.AddInt64(-1)
-	if upper {
-		neg = pos.AddInt64(1)
-	}
 	d.atoms = append(d.atoms, atomRec{
-		exprKey: key, bound: bound, upper: upper, satVar: v,
-		posNum: pos, negNum: neg,
+		expr: er, bound: bound, satVar: v, posNum: pos, negNum: pos.AddInt64(1),
 	})
-	d.byKey[full] = len(d.atoms) - 1
-	return v
+	er.atoms = slices.Insert(er.atoms, i, len(d.atoms)-1)
+	lit := sat.MkLit(v, false)
+	if i > 0 {
+		d.sat.AddClause(sat.MkLit(d.atoms[er.atoms[i-1]].satVar, true), lit)
+	}
+	if i+1 < len(er.atoms) {
+		d.sat.AddClause(lit.Flip(), sat.MkLit(d.atoms[er.atoms[i+1]].satVar, false))
+	}
+	return sat.MkLit(v, !upper)
 }
 
 // initSimplex builds the persistent simplex: one variable per theory
@@ -449,26 +468,6 @@ func (d *dpllt) defineExprs() {
 		}
 		er.sv = d.sx.DefineSlack(idef)
 	}
-}
-
-// assertAtom asserts atom i with the given polarity into the current
-// simplex frame.
-func (d *dpllt) assertAtom(i int, polarity bool) *simplex.Conflict {
-	a := &d.atoms[i]
-	sv := d.exprs[a.exprKey].sv
-	if polarity {
-		// The atom's own direction with its own bound.
-		if a.upper {
-			return d.sx.AssertUpperNum(sv, a.posNum, i)
-		}
-		return d.sx.AssertLowerNum(sv, a.posNum, i)
-	}
-	// Negation: ¬(comb <= b) is comb >= b+1; ¬(comb >= b) is
-	// comb <= b-1. negNum carries the adjusted bound.
-	if a.upper {
-		return d.sx.AssertLowerNum(sv, a.negNum, i)
-	}
-	return d.sx.AssertUpperNum(sv, a.negNum, i)
 }
 
 // --- tainted-core explanation ---------------------------------------
@@ -541,7 +540,7 @@ func (d *dpllt) chunkShrink(core []int, maxChecks int) []int {
 func (d *dpllt) subsetCheck(subset []int) (infeasible bool, subcore []int) {
 	var ids []int
 	for _, i := range subset {
-		for _, v := range d.exprs[d.atoms[i].exprKey].vars {
+		for _, v := range d.atoms[i].expr.vars {
 			ids = append(ids, d.svOf(v))
 		}
 	}
@@ -552,11 +551,11 @@ func (d *dpllt) subsetCheck(subset []int) (infeasible bool, subcore []int) {
 	scratch := simplex.New(m)
 	scratch.PivotBudget = pivotBudget / 4
 	scratch.Ctx = d.opts.Ctx
-	slackOf := make(map[string]int)
+	slackOf := make(map[*exprRec]int)
 	for _, i := range subset {
-		a := d.atoms[i]
-		er := d.exprs[a.exprKey]
-		sv, ok := slackOf[a.exprKey]
+		a := &d.atoms[i]
+		er := a.expr
+		sv, ok := slackOf[er]
 		if !ok {
 			if len(er.def) == 1 {
 				v := er.vars[0]
@@ -572,21 +571,9 @@ func (d *dpllt) subsetCheck(subset []int) (infeasible bool, subcore []int) {
 				}
 				sv = scratch.DefineSlack(idef)
 			}
-			slackOf[a.exprKey] = sv
+			slackOf[er] = sv
 		}
-		pol := d.assertedPol[i] == 1
-		var c *simplex.Conflict
-		switch {
-		case pol && a.upper:
-			c = scratch.AssertUpperNum(sv, a.posNum, i)
-		case pol:
-			c = scratch.AssertLowerNum(sv, a.posNum, i)
-		case a.upper:
-			c = scratch.AssertLowerNum(sv, a.negNum, i)
-		default:
-			c = scratch.AssertUpperNum(sv, a.negNum, i)
-		}
-		if c != nil {
+		if c := a.assert(scratch, sv, d.assertedPol[i] == 1, i); c != nil {
 			if !c.Tainted {
 				return true, c.Tags
 			}

@@ -4,6 +4,8 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 func mustSat(t *testing.T, f Formula) Model {
@@ -161,79 +163,123 @@ func TestUnboundedDirections(t *testing.T) {
 	mustSat(t, And(Le(V(x), Const(-1000)), Ge(V(y).Sub(V(x)), Const(2000))))
 }
 
-// TestRandomAgainstBruteForce compares Solve against exhaustive search
-// over a small box, on random boolean combinations of linear atoms.
-func TestRandomAgainstBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	p := NewPool()
-	vars := []Var{p.Fresh("a"), p.Fresh("b"), p.Fresh("c")}
+// draws feeds randBoxFormula its choices: intn returns a value in
+// [0, n).
+type draws interface{ intn(n int) int }
 
-	randAtom := func() Formula {
+// byteDraws draws from fuzz input: each draw is the next byte modulo n,
+// and 0 once the input is spent.
+type byteDraws []byte
+
+func (b *byteDraws) intn(n int) int {
+	if len(*b) == 0 {
+		return 0
+	}
+	x := int((*b)[0]) % n
+	*b = (*b)[1:]
+	return x
+}
+
+// recordedDraws draws from rng and records every draw as one byte, so
+// that byteDraws over the record replays the same formula.
+type recordedDraws struct {
+	rng *rand.Rand
+	out []byte
+}
+
+func (r *recordedDraws) intn(n int) int {
+	x := r.rng.Intn(n)
+	r.out = append(r.out, byte(x))
+	return x
+}
+
+// boxCombs are the coefficient vectors of randBoxFormula's atoms when
+// it does not draw them freely, so that one combination carries
+// several bounds in both directions.
+var boxCombs = [3][3]int64{{1, 0, 0}, {1, -1, 0}, {2, 1, -1}}
+
+// randBoxFormula draws a boolean combination, up to depth levels deep,
+// of atoms over the three variables vars: each atom takes coefficients
+// in [-2, 2] when free is set and one of boxCombs otherwise, a constant
+// in [-4, 4] and one of the six relations.
+func randBoxFormula(d draws, vars []Var, free bool, depth int) Formula {
+	if depth == 0 || d.intn(3) == 0 {
 		e := NewLin()
-		for _, v := range vars {
-			e.AddTermInt(v, int64(rng.Intn(5)-2))
+		if free {
+			for _, v := range vars {
+				e.AddTermInt(v, int64(d.intn(5)-2))
+			}
+		} else {
+			for i, c := range boxCombs[d.intn(len(boxCombs))] {
+				e.AddTermInt(vars[i], c)
+			}
 		}
-		e.AddConst(int64(rng.Intn(9) - 4))
+		e.AddConst(int64(d.intn(9) - 4))
 		ops := []Rel{LE, LT, GE, GT, EQ, NE}
-		f := Cmp(e, ops[rng.Intn(len(ops))], Const(0))
-		return f
+		return Cmp(e, ops[d.intn(len(ops))], Const(0))
 	}
-	var randFormula func(depth int) Formula
-	randFormula = func(depth int) Formula {
-		if depth == 0 || rng.Intn(3) == 0 {
-			return randAtom()
-		}
-		n := 2 + rng.Intn(2)
-		args := make([]Formula, n)
-		for i := range args {
-			args[i] = randFormula(depth - 1)
-		}
-		switch rng.Intn(3) {
-		case 0:
-			return And(args...)
-		case 1:
-			return Or(args...)
-		default:
-			return Negate(And(args...))
-		}
+	args := make([]Formula, 2+d.intn(2))
+	for i := range args {
+		args[i] = randBoxFormula(d, vars, free, depth-1)
 	}
+	switch d.intn(3) {
+	case 0:
+		return And(args...)
+	case 1:
+		return Or(args...)
+	default:
+		return Negate(And(args...))
+	}
+}
 
-	for iter := 0; iter < 150; iter++ {
-		f := randFormula(2)
-		// Constrain to the box [-3,3]^3 so brute force is exact.
-		box := make([]Formula, 0, 7)
-		box = append(box, f)
+// FuzzSolveAgainstBruteForce compares Solve against exhaustive search
+// over the box [-3, 3]^3, on the formula randBoxFormula draws from the
+// input. An unsat answer must leave no point of the box satisfying the
+// formula, and a sat answer's model must satisfy it. The seed corpus
+// is 150 formulas with free coefficients drawn from math/rand seed 11,
+// then 150 over boxCombs from the same stream.
+func FuzzSolveAgainstBruteForce(f *testing.F) {
+	vars := []Var{0, 1, 2} // the draws do not depend on the variables
+	rng := rand.New(rand.NewSource(11))
+	for _, free := range []bool{true, false} {
+		for i := 0; i < 150; i++ {
+			rec := &recordedDraws{rng: rng}
+			randBoxFormula(rec, vars, free, 2)
+			f.Add(free, rec.out)
+		}
+	}
+	f.Fuzz(func(t *testing.T, free bool, input []byte) {
+		p := NewPool()
+		vars := []Var{p.Fresh("a"), p.Fresh("b"), p.Fresh("c")}
+		d := byteDraws(input)
+		box := []Formula{randBoxFormula(&d, vars, free, 2)}
 		for _, v := range vars {
 			box = append(box, Ge(V(v), Const(-3)), Le(V(v), Const(3)))
 		}
 		g := And(box...)
 
-		want := false
-		m := Model{}
-		for a := int64(-3); a <= 3 && !want; a++ {
-			for b := int64(-3); b <= 3 && !want; b++ {
-				for c := int64(-3); c <= 3 && !want; c++ {
-					m[vars[0]] = big.NewInt(a)
-					m[vars[1]] = big.NewInt(b)
-					m[vars[2]] = big.NewInt(c)
-					if Eval(g, m) {
-						want = true
+		res, model := Solve(g, nil)
+		switch res {
+		case ResUnknown:
+			t.Fatalf("unknown on %s", String(g, p))
+		case ResSat:
+			if !Eval(g, model) {
+				t.Fatalf("model %v does not satisfy %s", model, String(g, p))
+			}
+		case ResUnsat:
+			m := Model{}
+			for a := int64(-3); a <= 3; a++ {
+				for b := int64(-3); b <= 3; b++ {
+					for c := int64(-3); c <= 3; c++ {
+						m[vars[0]], m[vars[1]], m[vars[2]] = big.NewInt(a), big.NewInt(b), big.NewInt(c)
+						if Eval(g, m) {
+							t.Fatalf("unsat, but a=%d b=%d c=%d satisfies %s", a, b, c, String(g, p))
+						}
 					}
 				}
 			}
 		}
-
-		res, model := Solve(g, nil)
-		if res == ResUnknown {
-			t.Fatalf("iter %d: unexpected unknown", iter)
-		}
-		if (res == ResSat) != want {
-			t.Fatalf("iter %d: solver=%v brute=%v formula=%s", iter, res, want, String(g, p))
-		}
-		if res == ResSat && !Eval(g, model) {
-			t.Fatalf("iter %d: returned model invalid", iter)
-		}
-	}
+	})
 }
 
 func TestEvalAndString(t *testing.T) {
@@ -279,16 +325,55 @@ func TestCanonAtomSharing(t *testing.T) {
 	p := NewPool()
 	x, y := p.Fresh("x"), p.Fresh("y")
 	// 2x+2y <= 4 and x+y >= 5 must share the same combination key.
-	k1, _, b1, up1 := canonAtom(V(x).ScaleInt(2).Add(V(y).ScaleInt(2)).AddConst(-4))
-	k2, _, b2, up2 := canonAtom(V(x).Neg().Sub(V(y)).AddConst(5))
-	if k1 != k2 {
-		t.Fatalf("keys differ: %q vs %q", k1, k2)
+	c1, b1, up1 := canonAtom(V(x).ScaleInt(2).Add(V(y).ScaleInt(2)).AddConst(-4))
+	c2, b2, up2 := canonAtom(V(x).Neg().Sub(V(y)).AddConst(5))
+	if c1.key != c2.key {
+		t.Fatalf("keys differ: %q vs %q", c1.key, c2.key)
 	}
 	if !up1 || b1.Int64() != 2 {
 		t.Fatalf("atom1: upper=%v bound=%v, want upper bound 2", up1, b1)
 	}
 	if up2 || b2.Int64() != 5 {
 		t.Fatalf("atom2: upper=%v bound=%v, want lower bound 5", up2, b2)
+	}
+
+	// x >= 4 is the complement of x <= 3: both encode to one SAT
+	// variable with opposite literals, and a formula holding both
+	// interns one atom.
+	d := NewSession(nil).engine()
+	ge := d.encode(nnf(Ge(V(x), Const(4)), false), 0)
+	le := d.encode(nnf(Le(V(x), Const(3)), false), 0)
+	if ge != le.Flip() {
+		t.Fatalf("x >= 4 encodes to literal %d, x <= 3 to %d; want opposite literals of one variable", ge, le)
+	}
+	ec := engine.Background()
+	if res, _ := Solve(Or(Ge(V(x), Const(4)), Le(V(x), Const(3))), &Options{Ctx: ec}); res != ResSat {
+		t.Fatalf("Solve = %v, want sat", res)
+	}
+	if n := ec.Stats().Snapshot().Children["lia"].Counters["atoms"]; n != 1 {
+		t.Fatalf("lia/atoms = %d, want 1", n)
+	}
+}
+
+// TestBoundChainPropagates refutes a formula whose bounds on x are
+// reached through disjunctions, out of presolve's reach: y >= 1 falsifies
+// y <= 0, which leaves x <= 2 and x >= 5. The clause linking x <= 2 to
+// x <= 4 refutes that by unit propagation, so the simplex reports no
+// conflict.
+func TestBoundChainPropagates(t *testing.T) {
+	p := NewPool()
+	x, y := p.Fresh("x"), p.Fresh("y")
+	f := And(
+		Or(Le(V(x), Const(2)), Le(V(y), Const(0))),
+		Or(Ge(V(x), Const(5)), Le(V(y), Const(0))),
+		Ge(V(y), Const(1)),
+	)
+	ec := engine.Background()
+	if res, _ := Solve(f, &Options{Ctx: ec}); res != ResUnsat {
+		t.Fatalf("Solve = %v, want unsat", res)
+	}
+	if n := ec.Stats().Snapshot().Children["lia"].Counters["theory.conflicts"]; n != 0 {
+		t.Fatalf("lia/theory.conflicts = %d, want 0", n)
 	}
 }
 
