@@ -101,6 +101,9 @@ go test -race -run "$race_first_tests" \
     ./internal/sat ./internal/simplex ./internal/lia \
     ./internal/core ./internal/baseline ./internal/bench \
     ./internal/portfolio ./internal/backend ./internal/cluster
+# trauserve's workers share one portfolio Solver, whose staged races
+# read and write one win history: run that test ten times in a row.
+go test -race -count=10 -run '^TestConcurrentStagedRaces$' ./internal/portfolio
 
 echo "==> server race suites (-race -count=2)"
 # The serving layer's concurrency suites — admission, the two-class QoS

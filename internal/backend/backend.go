@@ -42,8 +42,8 @@ type Caps struct {
 }
 
 // Backend is one decision procedure. Solve must honor the context's
-// deadline/cancellation, record statistics on its stats tree, and set
-// Result.Backend to Name().
+// deadline/cancellation, record statistics on its stats tree (its wall
+// time under time.total), and set Result.Backend to Name().
 type Backend interface {
 	Name() string
 	Caps() Caps
@@ -79,6 +79,7 @@ func (enumBackend) Caps() Caps {
 }
 
 func (enumBackend) Solve(prob *strcon.Problem, opts Options, ec *engine.Ctx) core.Result {
+	defer ec.Stats().Time("time.total")()
 	r := baseline.SolveEnum(prob, baseline.EnumOptions{}, ec)
 	return fromBaseline("enum", r, ec)
 }
@@ -95,6 +96,7 @@ func (splitBackend) Caps() Caps {
 }
 
 func (splitBackend) Solve(prob *strcon.Problem, opts Options, ec *engine.Ctx) core.Result {
+	defer ec.Stats().Time("time.total")()
 	r := baseline.SolveSplit(prob, baseline.SplitOptions{}, ec)
 	return fromBaseline("split", r, ec)
 }

@@ -75,13 +75,18 @@ func TestSelect(t *testing.T) {
 // TestBackendsAgreeOnEasyInstances runs every registry backend on a
 // trivially SAT and a trivially UNSAT problem: settled verdicts must
 // match ground truth within each backend's capability report, results
-// must carry the backend name, and SAT models must validate.
+// must carry the backend name, SAT models must validate, and the
+// solve's wall time must sit under time.total on the context's stats
+// node, where the portfolio's attempt accounting reads it.
 func TestBackendsAgreeOnEasyInstances(t *testing.T) {
 	for _, b := range All() {
 		ec := engine.WithTimeout(10 * time.Second)
 		res := b.Solve(satProblem(), Options{}, ec)
 		if res.Backend != b.Name() {
 			t.Errorf("%s: sat result labeled %q", b.Name(), res.Backend)
+		}
+		if _, ok := ec.Stats().Snapshot().TimersNS["time.total"]; !ok {
+			t.Errorf("%s: no time.total timer on the solve's stats node", b.Name())
 		}
 		caps := b.Caps()
 		switch res.Status {

@@ -4,7 +4,11 @@
 // goroutine with a private problem clone and a slice of the resource
 // budget, the first settled SAT/UNSAT verdict cancels the rest, and
 // per-backend win/loss/timeout counts — bucketed by feature vector —
-// bias future scheduling toward historical winners.
+// bias future scheduling toward historical winners. The race is
+// staged by the same history: the anchor engine and the bucket's past
+// winners start at once, and the others only once the anchor has run
+// longer than its longest win in the bucket, or once every early
+// attempt has given up.
 package portfolio
 
 import (

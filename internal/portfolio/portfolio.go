@@ -3,6 +3,7 @@ package portfolio
 import (
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/backend"
 	"repro/internal/core"
@@ -24,6 +25,9 @@ const maxRace = 3
 // record is the per-bucket, per-backend outcome history.
 type record struct {
 	picks, wins, losses, timeouts int64
+	// longestWin is the longest a winning attempt ran. The anchor's is
+	// its solo slice in the bucket (see stage).
+	longestWin time.Duration
 }
 
 // Solver is a stateful portfolio: the outcome history it accumulates
@@ -99,17 +103,15 @@ func (s *Solver) solve(prob *strcon.Problem, opts backend.Options, ec *engine.Ct
 	f := Extract(prob)
 	bucket := f.Bucket()
 	sel := s.schedule(f, bucket)
+	lead, solo := s.stage(bucket, sel)
 	stop()
 	st.Add("races", 1)
-	for _, b := range sel {
-		st.Add("pick."+b.Name(), 1)
-	}
 
-	winner, results := race(prob, opts, sel, ec)
+	winner, tries := race(prob, opts, sel, lead, solo, ec)
 
 	out := core.Result{Status: core.StatusUnknown, Backend: "portfolio", Stats: ec.Stats()}
 	if winner >= 0 {
-		out = results[winner]
+		out = tries[winner].res
 		out.Stats = ec.Stats()
 		if out.Model != nil && !prob.Eval(out.Model) {
 			// A winner's model must hold on the original problem, not
@@ -126,86 +128,161 @@ func (s *Solver) solve(prob *strcon.Problem, opts backend.Options, ec *engine.Ct
 			// confined to the attempts); surface the first attempt's
 			// specific reason — "budget: <site>", "deadline" — instead
 			// of the generic fallback.
-			for _, r := range results {
-				if r.Reason != "" && r.Reason != "rounds exhausted" {
-					out.Reason = r.Reason
+			for _, t := range tries {
+				if r := t.res.Reason; r != "" && r != "rounds exhausted" {
+					out.Reason = r
 					break
 				}
 			}
 		}
 	}
 
-	s.recordOutcomes(st, bucket, sel, winner, results, ec)
+	s.recordOutcomes(st, bucket, sel, winner, tries, ec)
 	return out
 }
 
-// race runs the selected backends concurrently, each under its own
-// child context with an equal slice of the remaining resource budget
-// (a backend exhausting its slice stops only itself — see
-// engine.Ctx.SetBudget). The first settled SAT/UNSAT cancels every
-// other attempt; after all goroutines join, the winner is the
-// lowest-indexed settled result, so simultaneous finishes tie-break
-// positionally (selection order follows registry order). Returns -1
-// when nobody settled.
-func race(prob *strcon.Problem, opts backend.Options, sel []backend.Backend,
-	ec *engine.Ctx) (int, []core.Result) {
-	n := len(sel)
-	attempts := make([]*engine.Ctx, n)
-	probs := make([]*strcon.Problem, n)
-	rem, hasBudget := ec.BudgetRemaining()
+// stage splits a scheduled race in two. The lead starts at once: the
+// anchor and every selected backend that has won in this bucket. The
+// rest are deferred for solo, the anchor's longest win in the bucket:
+// until the anchor has run that long it is still inside the time in
+// which it has always settled such instances, and an engine that has
+// never won here would only take its core. A bucket the anchor has
+// never won has solo 0, and the whole selection leads.
+func (s *Solver) stage(bucket string, sel []backend.Backend) (lead []bool, solo time.Duration) {
+	a := s.anchor()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	hb := s.hist[bucket]
+	if a >= 0 {
+		if r := hb[s.backends[a].Name()]; r != nil {
+			solo = r.longestWin
+		}
+	}
+	lead = make([]bool, len(sel))
 	for i, b := range sel {
-		attempts[i] = ec.Child("try." + b.Name())
-		if hasBudget && rem > 0 {
-			slice := rem / int64(n)
-			if slice < 1 {
-				slice = 1
-			}
+		// A solo slice means the anchor has won here, so it leads too.
+		r := hb[b.Name()]
+		lead[i] = solo == 0 || r != nil && r.wins > 0
+	}
+	return lead, solo
+}
+
+// attempt is one raced backend: its context (nil until it starts), its
+// result and how long it ran.
+type attempt struct {
+	ec   *engine.Ctx
+	res  core.Result
+	took time.Duration
+}
+
+// race runs the selected backends in two stages. The lead (lead[i])
+// starts at once. The deferred rest start when solo has passed or when
+// every lead attempt has returned without a verdict, and never once an
+// attempt has settled. Each started attempt runs on its own goroutine
+// under its own child context with an equal slice of the resource
+// budget left at race start (a backend exhausting its slice stops only
+// itself — see engine.Ctx.SetBudget); its context, slice and problem
+// clone are made when it starts. The first settled SAT/UNSAT cancels
+// every other started attempt; after all goroutines join, the winner
+// is the lowest-indexed settled result, so simultaneous finishes
+// tie-break positionally (selection order follows registry order).
+// Returns -1 when nobody settled.
+func race(prob *strcon.Problem, opts backend.Options, sel []backend.Backend,
+	lead []bool, solo time.Duration, ec *engine.Ctx) (int, []attempt) {
+	n := len(sel)
+	tries := make([]attempt, n)
+	var slice int64
+	if rem, ok := ec.BudgetRemaining(); ok && rem > 0 {
+		slice = max(rem/int64(n), 1)
+	}
+	var (
+		mu   sync.Mutex // guards over and every tries[i].ec
+		over bool       // an attempt settled: start no more
+		wg   sync.WaitGroup
+	)
+	// Each started attempt sends once, so n slots never block a sender,
+	// even after the wait below has stopped receiving.
+	done := make(chan struct{}, n)
+	start := func(i int) {
+		mu.Lock()
+		defer mu.Unlock()
+		if over {
+			return
+		}
+		c := ec.Child("try." + sel[i].Name())
+		if slice > 0 {
 			// Install before the backend creates children: the slice
 			// meter is inherited at Child time.
-			attempts[i].SetBudget(slice)
+			c.SetBudget(slice)
 		}
 		// A private clone per backend: its own arithmetic pool and
 		// variable tables, so concurrent solves never share mutable
 		// state. Variable numbering is shared, so models transfer back.
-		probs[i] = prob.WithConstraints(prob.Constraints)
-	}
-	results := make([]core.Result, n)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i := range sel {
+		p := prob.WithConstraints(prob.Constraints)
+		tries[i].ec = c
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			// Panic boundary: a goroutine panic would bypass the
 			// recover in Solve and kill the process. A crashed backend
 			// counts as UNKNOWN — it degrades only itself, never the
 			// race's verdict.
 			defer wg.Done()
+			began := time.Now()
 			if d := fault.Contain("portfolio.race", func() {
-				results[i] = sel[i].Solve(probs[i], opts, attempts[i])
+				tries[i].res = sel[i].Solve(p, opts, c)
 			}); d != nil {
-				attempts[i].Stats().Add("fault.contained", 1)
-				results[i] = core.Result{Status: core.StatusUnknown,
+				c.Stats().Add("fault.contained", 1)
+				tries[i].res = core.Result{Status: core.StatusUnknown,
 					Reason: "panic: " + d.Value, Fault: d,
-					Backend: sel[i].Name(), Stats: attempts[i].Stats()}
+					Backend: sel[i].Name(), Stats: c.Stats()}
 			}
-			if settled(results[i].Status) {
+			tries[i].took = time.Since(began)
+			if settled(tries[i].res.Status) {
 				mu.Lock()
-				for j := range attempts {
+				over = true
+				for j := range tries {
 					if j != i {
-						attempts[j].Cancel()
+						tries[j].ec.Cancel()
 					}
 				}
 				mu.Unlock()
 			}
-		}(i)
+			done <- struct{}{}
+		}()
 	}
-	wg.Wait()
-	for i := range results {
-		if settled(results[i].Status) {
-			return i, results
+
+	leads := 0
+	for i := range sel {
+		if lead[i] {
+			start(i)
+			leads++
 		}
 	}
-	return -1, results
+	// The solo slice: wait for it to pass or for every lead attempt to
+	// return, then start the deferred rest. After a verdict, start does
+	// nothing.
+	timer := time.NewTimer(solo)
+wait:
+	for k := 0; k < leads; k++ {
+		select {
+		case <-done:
+		case <-timer.C:
+			break wait
+		}
+	}
+	timer.Stop()
+	for i := range sel {
+		if !lead[i] {
+			start(i)
+		}
+	}
+	wg.Wait()
+	for i := range tries {
+		if settled(tries[i].res.Status) {
+			return i, tries
+		}
+	}
+	return -1, tries
 }
 
 // schedule picks up to maxRace backends for this feature vector:
@@ -291,11 +368,13 @@ func (s *Solver) anchor() int {
 }
 
 // recordOutcomes books the race's outcome both into the solver's own
-// history (the scheduling bias) and into the solve's engine stats tree
-// under portfolio/<bucket>, so /stats and -stats expose win/loss/
-// timeout counts per feature bucket.
+// history (the scheduling bias) and into the solve's engine stats tree:
+// a pick.<backend> counter under portfolio and win/loss/timeout counts
+// under portfolio/<bucket>, so /stats and -stats expose them per
+// feature bucket. Only started attempts are booked: a deferred backend
+// that never ran earns no pick and no loss.
 func (s *Solver) recordOutcomes(st *engine.Stats, bucket string, sel []backend.Backend,
-	winner int, results []core.Result, ec *engine.Ctx) {
+	winner int, tries []attempt, ec *engine.Ctx) {
 	bst := st.Child(bucket)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -307,6 +386,9 @@ func (s *Solver) recordOutcomes(st *engine.Stats, bucket string, sel []backend.B
 	}
 	d := Decision{Bucket: bucket}
 	for i, b := range sel {
+		if tries[i].ec == nil {
+			continue
+		}
 		name := b.Name()
 		r := hb[name]
 		if r == nil {
@@ -314,13 +396,15 @@ func (s *Solver) recordOutcomes(st *engine.Stats, bucket string, sel []backend.B
 			hb[name] = r
 		}
 		r.picks++
+		st.Add("pick."+name, 1)
 		d.Picked = append(d.Picked, name)
 		switch {
 		case i == winner:
 			r.wins++
+			r.longestWin = max(r.longestWin, tries[i].took)
 			bst.Add(name+".win", 1)
 			d.Winner = name
-		case timedOut(results[i], ec):
+		case timedOut(tries[i].res, ec):
 			r.timeouts++
 			bst.Add(name+".timeout", 1)
 		default:
