@@ -2,8 +2,8 @@ package trau
 
 // Benchmarks regenerating the paper's evaluation (§9): one benchmark
 // per table/suite (Tables 1 and 2 are per-suite sweeps; Table 3 is the
-// checkLuhn family), plus ablation benchmarks for the design choices
-// called out in DESIGN.md and micro-benchmarks of the substrates.
+// checkLuhn family), plus the numeric-PFA ablation against the
+// baselines and micro-benchmarks of the substrates.
 //
 // Run with: go test -bench=. -benchmem
 // The full comparison tables (solver vs. baselines, with counts) are
@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -21,7 +22,6 @@ import (
 	"repro/internal/lia"
 	"repro/internal/regex"
 	"repro/internal/sat"
-	"repro/internal/strcon"
 )
 
 const benchTimeout = 5 * time.Second
@@ -101,82 +101,16 @@ func BenchmarkToyPhi(b *testing.B) {
 
 // --- Ablations ---------------------------------------------------------
 
-// BenchmarkAblationConnectivity compares the lazy connectivity-cut
-// architecture (the default) against the eager spanning-tree Parikh
-// encoding on a membership+length instance.
-func BenchmarkAblationConnectivity(b *testing.B) {
-	build := func() *strcon.Problem {
-		prob := strcon.NewProblem()
-		x := prob.NewStrVar("x")
-		prob.Add(&strcon.Membership{X: x, A: regex.MustCompile("(ab|ba)+"), Pattern: "(ab|ba)+"})
-		prob.Add(&strcon.Arith{F: lia.EqConst(prob.LenVar(x), 6)})
-		return prob
-	}
-	b.Run("lazy-cuts", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			prob := build()
-			prob.Prepare()
-			fl := flatten.Flatten(prob, prob.Constraints, flatten.DefaultParams, nil)
-			res, _ := lia.Solve(fl.Formula, &lia.Options{OnModel: fl.OnModel})
-			if res != lia.ResSat {
-				b.Fatal(res)
-			}
-		}
-	})
-	b.Run("eager-spanning-tree", func(b *testing.B) {
-		// The eager encoding is exercised through pfa.Sync with a nil
-		// registry; reproduce the same constraint manually.
-		for i := 0; i < b.N; i++ {
-			prob := build()
-			prob.Prepare()
-			fl := flatten.FlattenEager(prob, prob.Constraints, flatten.DefaultParams, nil)
-			res, _ := lia.Solve(fl.Formula, &lia.Options{})
-			if res != lia.ResSat {
-				b.Fatal(res)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationOverApprox measures the over-approximation gate's
-// effect on an unsatisfiable instance (without it, the solver burns all
-// refinement rounds before giving up).
-func BenchmarkAblationOverApprox(b *testing.B) {
-	build := func() *strcon.Problem {
-		prob := strcon.NewProblem()
-		x := prob.NewStrVar("x")
-		n := prob.NewIntVar("n")
-		prob.Add(
-			&strcon.ToNum{N: n, X: x},
-			&strcon.Arith{F: lia.Ge(lia.V(n), lia.Const(100))},
-			&strcon.Arith{F: lia.EqConst(prob.LenVar(x), 2)},
-		)
-		return prob
-	}
-	b.Run("with-overapprox", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if res := core.Solve(build(), core.Options{Timeout: benchTimeout}); res.Status != core.StatusUnsat {
-				b.Fatal(res.Status)
-			}
-		}
-	})
-	b.Run("without-overapprox", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.Solve(build(), core.Options{Timeout: benchTimeout, SkipOverApprox: true})
-		}
-	})
-}
-
 // BenchmarkAblationNumericPFA contrasts the numeric PFA (the paper's
 // core trick) against the baseline enumeration on a conversion
 // instance, quantifying the headline speedup.
 func BenchmarkAblationNumericPFA(b *testing.B) {
 	insts := bench.Table2Suites(4)[0].Instances
 	for _, s := range bench.Solvers() {
-		b.Run(s.Name, func(b *testing.B) {
+		b.Run(s.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, inst := range insts {
-					s.Run(inst.Build(), engine.WithTimeout(benchTimeout))
+					s.Solve(inst.Build(), backend.Options{}, engine.WithTimeout(benchTimeout))
 				}
 			}
 		})

@@ -133,17 +133,21 @@ echo "==> go test -race"
 go test -race $(go list ./... | grep -v '^repro/internal/bench$')
 go test -race -skip "$race_first_tests|$race_chaos_tests" ./internal/bench
 
-echo "==> fuzz: simplex fast path against big.Rat, lia against brute force (10 s each)"
+echo "==> fuzz: simplex fast path against big.Rat, lia and Parikh connectivity against brute force (10 s each)"
 # go test runs a fuzz target's seed corpus only; these run past it. One
 # target checks each rval operation against big.Rat around the +-2^63
 # boundaries, another replays random systems through the solver with
-# and without the fast path and requires identical transcripts, and the
+# and without the fast path and requires identical transcripts, the
 # lia target decides random bound combinations and checks every verdict
-# against exhaustive search over a small box.
+# against exhaustive search over a small box, and the parikh target
+# decides every small count vector of a random automaton by flow
+# conservation plus connectivity cuts and checks it against a search
+# for the run.
 for target in FuzzFastPathArith FuzzSolverFastSlow; do
     go test -run '^$' -fuzz "^$target\$" -fuzztime 10s ./internal/simplex
 done
 go test -run '^$' -fuzz '^FuzzSolveAgainstBruteForce$' -fuzztime 10s ./internal/lia
+go test -run '^$' -fuzz '^FuzzLazyConnectivity$' -fuzztime 10s ./internal/parikh
 
 echo "==> trauserve smoke"
 # End-to-end over a real socket: boot the service, solve once cold,

@@ -25,6 +25,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/bench"
 )
 
@@ -65,7 +66,7 @@ func run(args []string) int {
 	if *only != "" {
 		// Resolve each requested name from the shared backend registry
 		// (plus the portfolio row), keeping the flag's order.
-		var sel []bench.Solver
+		var sel []backend.Backend
 		for _, name := range strings.Split(*only, ",") {
 			name = strings.TrimSpace(name)
 			if name == "" {
@@ -103,7 +104,7 @@ func run(args []string) int {
 	return rc
 }
 
-func runTables(table string, per, loops int, timeout time.Duration, workers int, solvers []bench.Solver) int {
+func runTables(table string, per, loops int, timeout time.Duration, workers int, solvers []backend.Backend) int {
 	run1 := func() {
 		fmt.Println("Table 1: basic string constraints")
 		bench.Table(os.Stdout, bench.Table1Suites(per), solvers, timeout, workers)

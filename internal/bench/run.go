@@ -11,57 +11,34 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/portfolio"
-	"repro/internal/strcon"
 )
 
-// Solver is one engine under comparison. Run solves the problem under
-// the context's deadline and cancellation and is expected to record its
-// statistics on the context's stats tree.
-type Solver struct {
-	Name string
-	Run  func(prob *strcon.Problem, ec *engine.Ctx) core.Status
-}
-
-// FromBackend adapts a registry backend (or the portfolio solver) to a
-// comparison row. This is the only bridge between the registry and the
-// bench tables — the per-solver closures the package used to rebuild
-// on every call are gone.
-func FromBackend(b backend.Backend, opts backend.Options) Solver {
-	return Solver{Name: b.Name(), Run: func(p *strcon.Problem, ec *engine.Ctx) core.Status {
-		return b.Solve(p, opts, ec).Status
-	}}
-}
-
-// Solvers returns the engines of the evaluation: the paper's
-// refinement solver (Z3-Trau reproduction), the two baseline families
-// standing in for the closed competitor tools (see package doc of
-// internal/baseline), and the portfolio racing the whole registry —
-// all resolved from the backend registry. The portfolio row carries
-// fresh scheduling state per call, so repeated table runs start from
-// the same unbiased schedule.
-func Solvers() []Solver {
-	out := make([]Solver, 0, 4)
+// Solvers returns the engines of the evaluation, one comparison row
+// each: the paper's refinement solver (Z3-Trau reproduction), the two
+// baseline families standing in for the closed competitor tools (see
+// package doc of internal/baseline), and the portfolio racing the whole
+// registry — all resolved from the backend registry. The portfolio row
+// carries fresh scheduling state per call, so repeated table runs
+// start from the same unbiased schedule.
+func Solvers() []backend.Backend {
+	out := make([]backend.Backend, 0, 4)
 	for _, name := range []string{"refine", "enum", "split"} {
 		b, ok := backend.Get(name)
 		if !ok {
 			panic("bench: backend missing from registry: " + name) // contract: registry is fixed
 		}
-		out = append(out, FromBackend(b, backend.Options{}))
+		out = append(out, b)
 	}
-	return append(out, FromBackend(portfolio.New(portfolio.Config{}), backend.Options{}))
+	return append(out, portfolio.New(portfolio.Config{}))
 }
 
 // SolverByName resolves one comparison row: any registry backend by
 // name, or "portfolio" for a fresh portfolio over the whole registry.
-func SolverByName(name string) (Solver, bool) {
+func SolverByName(name string) (backend.Backend, bool) {
 	if name == "portfolio" {
-		return FromBackend(portfolio.New(portfolio.Config{}), backend.Options{}), true
+		return portfolio.New(portfolio.Config{}), true
 	}
-	b, ok := backend.Get(name)
-	if !ok {
-		return Solver{}, false
-	}
-	return FromBackend(b, backend.Options{}), true
+	return backend.Get(name)
 }
 
 // SolverNames lists every name SolverByName resolves.
@@ -136,16 +113,16 @@ type SuiteResult struct {
 	Agg    Agg
 }
 
-// RunSuite runs every instance of a suite through one solver, on up to
+// RunSuite runs every instance of a suite through one backend, on up to
 // workers goroutines (values <= 1 run sequentially; the counts are
 // identical either way). An instance counts as TIMEOUT only when its
 // context actually expired — an early "unknown" (budget exhaustion,
 // incomplete fragment) stays an UNKNOWN even if it took a while.
-func RunSuite(insts []*Instance, solver Solver, timeout time.Duration, workers int) SuiteResult {
+func RunSuite(insts []*Instance, solver backend.Backend, timeout time.Duration, workers int) SuiteResult {
 	results := make([]instResult, len(insts))
 	run1 := func(i int) {
 		ec := engine.WithTimeout(timeout)
-		status := solver.Run(insts[i].Build(), ec)
+		status := solver.Solve(insts[i].Build(), backend.Options{}, ec).Status
 		st := ec.Stats()
 		results[i] = instResult{
 			status:    status,
@@ -224,7 +201,7 @@ func RunSuite(insts []*Instance, solver Solver, timeout time.Duration, workers i
 // the layout of the paper's Tables 1 and 2, followed by per-suite
 // aggregate solver statistics. workers bounds the per-suite instance
 // parallelism; the output is byte-identical for every worker count.
-func Table(w io.Writer, suites []Suite, solvers []Solver, timeout time.Duration, workers int) {
+func Table(w io.Writer, suites []Suite, solvers []backend.Backend, timeout time.Duration, workers int) {
 	rows := []string{"SAT", "UNSAT", "UNKNOWN", "TIMEOUT", "INCORRECT"}
 	pick := func(c Counts, row string) int {
 		switch row {
@@ -242,7 +219,7 @@ func Table(w io.Writer, suites []Suite, solvers []Solver, timeout time.Duration,
 	}
 	fmt.Fprintf(w, "%-12s %-10s", "Suite", "Result")
 	for _, s := range solvers {
-		fmt.Fprintf(w, " %10s", s.Name)
+		fmt.Fprintf(w, " %10s", s.Name())
 	}
 	fmt.Fprintln(w)
 	totals := make([]Counts, len(solvers))
@@ -283,7 +260,7 @@ func Table(w io.Writer, suites []Suite, solvers []Solver, timeout time.Duration,
 	fmt.Fprintln(w, "Mean statistics per instance (rounds/conflicts/pivots)")
 	fmt.Fprintf(w, "%-12s", "Suite")
 	for _, s := range solvers {
-		fmt.Fprintf(w, " %22s", s.Name)
+		fmt.Fprintf(w, " %22s", s.Name())
 	}
 	fmt.Fprintln(w)
 	for si, suite := range suites {
@@ -306,13 +283,13 @@ type LuhnResult struct {
 
 // RunLuhn runs one solver over the checkLuhn family with 2..maxLoops
 // loops (the paper's Table 3 workload), sequentially.
-func RunLuhn(maxLoops int, solver Solver, timeout time.Duration) []LuhnResult {
+func RunLuhn(maxLoops int, solver backend.Backend, timeout time.Duration) []LuhnResult {
 	var out []LuhnResult
 	for k := 2; k <= maxLoops; k++ {
 		inst := Luhn(k)
 		ec := engine.WithTimeout(timeout)
 		start := time.Now()
-		status := solver.Run(inst.Build(), ec)
+		status := solver.Solve(inst.Build(), backend.Options{}, ec).Status
 		st := ec.Stats()
 		out = append(out, LuhnResult{
 			K:        k,
@@ -333,10 +310,10 @@ func RunLuhn(maxLoops int, solver Solver, timeout time.Duration) []LuhnResult {
 // Table3 runs the checkLuhn family (the paper's Table 3) and renders
 // status and time per solver and loop count, followed by aggregate
 // solver statistics over the family.
-func Table3(w io.Writer, maxLoops int, solvers []Solver, timeout time.Duration) {
+func Table3(w io.Writer, maxLoops int, solvers []backend.Backend, timeout time.Duration) {
 	fmt.Fprintf(w, "%-8s", "# Loops")
 	for _, s := range solvers {
-		fmt.Fprintf(w, " %20s", s.Name)
+		fmt.Fprintf(w, " %20s", s.Name())
 	}
 	fmt.Fprintln(w)
 	aggs := make([]Agg, len(solvers))
@@ -371,7 +348,7 @@ func Table3(w io.Writer, maxLoops int, solvers []Solver, timeout time.Duration) 
 	fmt.Fprintln(w, "Mean statistics per instance (rounds/conflicts/pivots)")
 	fmt.Fprintf(w, "%-8s", "")
 	for i, s := range solvers {
-		fmt.Fprintf(w, " %20s", s.Name+" "+aggs[i].Cell())
+		fmt.Fprintf(w, " %20s", s.Name()+" "+aggs[i].Cell())
 	}
 	fmt.Fprintln(w)
 }

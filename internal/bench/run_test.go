@@ -5,10 +5,22 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/strcon"
 )
+
+// funcBackend is a test-only backend that runs its function on the
+// solve's context and answers UNKNOWN.
+type funcBackend func(ec *engine.Ctx)
+
+func (funcBackend) Name() string       { return "func" }
+func (funcBackend) Caps() backend.Caps { return backend.Caps{} }
+func (f funcBackend) Solve(_ *strcon.Problem, _ backend.Options, ec *engine.Ctx) core.Result {
+	f(ec)
+	return core.Result{Status: core.StatusUnknown, Backend: "func", Stats: ec.Stats()}
+}
 
 // TestTimeoutClassification pins the TIMEOUT/UNKNOWN split: an instance
 // is a TIMEOUT only when its context actually expired, never merely
@@ -18,10 +30,9 @@ func TestTimeoutClassification(t *testing.T) {
 	insts := Table1Suites(2)[0].Instances
 	n := int64(len(insts))
 
-	giveUp := Solver{Name: "give-up", Run: func(_ *strcon.Problem, ec *engine.Ctx) core.Status {
+	giveUp := funcBackend(func(ec *engine.Ctx) {
 		ec.Stats().Add("rounds", 4)
-		return core.StatusUnknown
-	}}
+	})
 	r := RunSuite(insts, giveUp, time.Minute, 1)
 	if c := r.Counts; c.Timeout != 0 || c.Unknown != len(insts) {
 		t.Fatalf("instant unknowns classified as %+v, want all UNKNOWN", c)
@@ -30,12 +41,11 @@ func TestTimeoutClassification(t *testing.T) {
 		t.Fatalf("finished runs aggregated as %+v, want %d instances of 4 rounds", r.Agg, n)
 	}
 
-	spin := Solver{Name: "spin", Run: func(_ *strcon.Problem, ec *engine.Ctx) core.Status {
+	spin := funcBackend(func(ec *engine.Ctx) {
 		ec.Stats().Add("rounds", 4)
 		for !ec.Poll() {
 		}
-		return core.StatusUnknown
-	}}
+	})
 	r = RunSuite(insts, spin, 30*time.Millisecond, 1)
 	if c := r.Counts; c.Unknown != 0 || c.Timeout != len(insts) {
 		t.Fatalf("deadline-bound unknowns classified as %+v, want all TIMEOUT", c)

@@ -47,16 +47,14 @@ func (s Status) String() string {
 }
 
 // Options configure the decision procedure. The zero value uses
-// defaults: over-approximation on, three refinement rounds starting
-// from PFA parameters (m, loops, loop length) = (5, 2, 2).
+// defaults: the over-approximation gate, then three refinement rounds
+// starting from PFA parameters (m, loops, loop length) = (5, 2, 2).
 type Options struct {
 	// Timeout bounds the whole solve when calling Solve; zero means
 	// none. SolveCtx ignores it (the context carries the deadline).
 	Timeout time.Duration
 	// MaxRounds bounds under-approximation refinement rounds.
 	MaxRounds int
-	// SkipOverApprox disables the UNSAT gate (for ablation studies).
-	SkipOverApprox bool
 	// OverApproxOnly stops after the over-approximation phase: the gate
 	// plus the case-split enumeration (whose prefixes are pruned by the
 	// same abstraction) may prove UNSAT, and anything else is UNKNOWN
@@ -133,7 +131,7 @@ func solveCtx(prob *strcon.Problem, opts Options, ec *engine.Ctx) Result {
 		return res == lia.ResUnsat
 	}
 
-	if !opts.SkipOverApprox && abstractUnsat(original) {
+	if abstractUnsat(original) {
 		return Result{Status: StatusUnsat, OverApproxDecided: true, Stats: st}
 	}
 
@@ -142,10 +140,10 @@ func solveCtx(prob *strcon.Problem, opts Options, ec *engine.Ctx) Result {
 	// (this plays the role of the DPLL core "trying another solution
 	// branch" in §9). Each surviving branch is then attacked by the
 	// PFA refinement loop, round-robin over rounds.
-	branches, truncated := splitBranches(original, opts, abstractUnsat, ec)
+	branches, truncated := splitBranches(original, abstractUnsat, ec)
 	st.Add("branches", int64(len(branches)))
 	if len(branches) == 0 {
-		if truncated || opts.SkipOverApprox {
+		if truncated {
 			return Result{Status: StatusUnknown, Reason: UnknownReason(ec), Stats: st}
 		}
 		// Every branch refuted by a sound over-approximation.
@@ -294,7 +292,7 @@ const maxBranches = 64
 // branches, pruning refuted prefixes with the over-approximation.
 // truncated reports that the bound was hit (so an all-branches-refuted
 // outcome must not be read as UNSAT).
-func splitBranches(cons []strcon.Constraint, opts Options,
+func splitBranches(cons []strcon.Constraint,
 	abstractUnsat func([]strcon.Constraint) bool, ec *engine.Ctx) ([][]strcon.Constraint, bool) {
 	var base []strcon.Constraint
 	var ors []*strcon.OrCon
@@ -333,18 +331,16 @@ func splitBranches(cons []strcon.Constraint, opts Options,
 				return
 			}
 			next := append(chosen[:len(chosen):len(chosen)], flattenAnd(disjunct)...)
-			if !opts.SkipOverApprox {
-				// Prune: base + chosen prefix + remaining Ors.
-				candidate := make([]strcon.Constraint, 0, len(base)+len(next)+len(ors)-d-1)
-				candidate = append(candidate, base...)
-				candidate = append(candidate, next...)
-				for _, o := range ors[d+1:] {
-					candidate = append(candidate, o)
-				}
-				if abstractUnsat(candidate) {
-					st.Add("branches.pruned", 1)
-					continue
-				}
+			// Prune: base + chosen prefix + remaining Ors.
+			candidate := make([]strcon.Constraint, 0, len(base)+len(next)+len(ors)-d-1)
+			candidate = append(candidate, base...)
+			candidate = append(candidate, next...)
+			for _, o := range ors[d+1:] {
+				candidate = append(candidate, o)
+			}
+			if abstractUnsat(candidate) {
+				st.Add("branches.pruned", 1)
+				continue
 			}
 			rec(d+1, next)
 		}

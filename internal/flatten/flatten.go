@@ -42,8 +42,7 @@ func (p Params) Refine() Params {
 //
 // The synchronization formulas use the flow-only Parikh encoding; pass
 // OnModel to lia.Options so candidate models are screened for used-edge
-// connectivity and refined with cut lemmas (the lazy counterpart of the
-// eager spanning-tree encoding).
+// connectivity and refined with cut lemmas.
 type Result struct {
 	Formula lia.Formula
 	R       map[strcon.Var]pfa.Restriction
@@ -54,12 +53,8 @@ type Result struct {
 	ec    *engine.Ctx
 }
 
-// OnModel is the lazy-lemma callback for lia.Options. It is a no-op
-// for eager flattenings.
+// OnModel is the lazy-lemma callback for lia.Options.
 func (res *Result) OnModel(m lia.Model) lia.Formula {
-	if res.Cuts == nil {
-		return nil
-	}
 	return res.Cuts.Lemmas(m)
 }
 
@@ -72,21 +67,10 @@ func (res *Result) OnModel(m lia.Model) lia.Formula {
 // shared problem; pass prob.Constraints for whole-problem flattening.
 // Formula sizes and flattening time are recorded on ec's stats tree.
 func Flatten(prob *strcon.Problem, cons []strcon.Constraint, params Params, ec *engine.Ctx) *Result {
-	return flattenWith(prob, cons, params, &pfa.CutRegistry{}, ec)
-}
-
-// FlattenEager is Flatten with the eager spanning-tree Parikh encoding
-// instead of lazy connectivity cuts (for ablation studies; the lazy
-// variant is dramatically faster on nontrivial products).
-func FlattenEager(prob *strcon.Problem, cons []strcon.Constraint, params Params, ec *engine.Ctx) *Result {
-	return flattenWith(prob, cons, params, nil, ec)
-}
-
-func flattenWith(prob *strcon.Problem, cons []strcon.Constraint, params Params, cuts *pfa.CutRegistry, ec *engine.Ctx) *Result {
 	st := ec.Stats().Child("flatten")
 	st.Add("calls", 1)
 	defer st.Time("time")()
-	res := &Result{R: make(map[strcon.Var]pfa.Restriction), Cuts: cuts, prob: prob,
+	res := &Result{R: make(map[strcon.Var]pfa.Restriction), Cuts: &pfa.CutRegistry{}, prob: prob,
 		stats: ec.Stats().Child("cache"), ec: ec}
 	pool := prob.Lia
 
@@ -327,7 +311,7 @@ func emptyNumeric(n *pfa.Numeric) []lia.Formula {
 func mustNumeric(r pfa.Restriction) *pfa.Numeric {
 	n, ok := r.(*pfa.Numeric)
 	if !ok {
-		// contract: flattenWith assigns numeric restrictions to these variables.
+		// contract: Flatten assigns numeric restrictions to these variables.
 		panic("flatten: string-number constraint on a non-numeric restriction")
 	}
 	return n

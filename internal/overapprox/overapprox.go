@@ -285,11 +285,7 @@ func (a *abstractor) regularParikh(x strcon.Var, nfa *automata.NFA) lia.Formula 
 	for i := range flow {
 		flow[i] = pool.Fresh("oaflow")
 	}
-	var conj []lia.Formula
-	conj = append(conj, parikh.FlowOnly(aut, flow))
-	act := pool.Fresh("oaact")
-	conj = append(conj, lia.EqConst(act, 1))
-	a.cuts.Products = append(a.cuts.Products, pfa.ProductFlows{Aut: aut, Flow: flow, Act: act})
+	conj := a.cuts.Parikh(pool, aut, flow)
 
 	// Bucket split: each edge's flow distributes over the buckets its
 	// range intersects; bucket counters are the per-bucket totals.

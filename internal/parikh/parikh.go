@@ -1,19 +1,19 @@
-// Package parikh computes, for a finite automaton, a linear formula
-// whose models are exactly the Parikh images of its accepting runs
-// (paper Lemma 2.1). The construction is the standard existential
-// Presburger encoding of Verma, Seidl, and Schwentick: per-edge flow
-// variables with Euler-path flow conservation, plus spanning-tree depth
-// variables that force the used edges to be connected to the initial
-// state.
+// Package parikh decides, for a finite automaton, which per-edge count
+// vectors are Parikh images of its accepting runs (paper Lemma 2.1).
+// It follows Verma, Seidl, and Schwentick: a count vector is the image
+// of a run from the initial to the final state exactly when it
+// satisfies Euler-path flow conservation and its used edges are
+// connected to the initial state. FlowOnly emits the linear part;
+// connectivity is checked lazily on candidate models, with Disconnected
+// finding a violated component and CutFormula building the lemma that
+// excludes it.
 //
 // The string solver applies it to asynchronous products of parametric
-// automata when building synchronization formulas (paper §7).
+// automata when building synchronization formulas (paper §7), and to
+// regular constraints in the over-approximation.
 package parikh
 
-import (
-	"repro/internal/engine"
-	"repro/internal/lia"
-)
+import "repro/internal/lia"
 
 // Edge is a directed edge of the automaton graph. Labels are irrelevant
 // here; callers keep the edge order and attach meaning to the flow
@@ -35,8 +35,7 @@ type Automaton struct {
 // non-negativity plus Euler-path flow balance. Its models
 // over-approximate the Parikh images of accepting runs — used-edge
 // connectivity is not enforced. Pair it with Disconnected/CutFormula
-// for lazy connectivity refinement, or use Formula for the eager
-// encoding.
+// for lazy connectivity refinement.
 func FlowOnly(a Automaton, flow []lia.Var) lia.Formula {
 	if len(flow) != len(a.Edges) {
 		// contract: callers allocate one flow variable per edge.
@@ -131,102 +130,4 @@ func CutFormula(a Automaton, flow []lia.Var, component []int) lia.Formula {
 		lia.Ge(enter, lia.Const(1)),
 		lia.Eq(leave, lia.Const(0)),
 	)
-}
-
-// Formula returns a linear formula over the per-edge flow variables
-// flow[i] (one per a.Edges[i], allocated by the caller) such that its
-// models, projected to flow, are exactly the functions counting how
-// often each edge is used by some accepting run from Init to Final.
-// Auxiliary depth variables are allocated from pool.
-//
-// The formula is instantiated from a template memoized by the
-// automaton's shape (see template); cache counters are recorded on st,
-// which may be nil.
-func Formula(a Automaton, flow []lia.Var, pool *lia.Pool, st *engine.Stats) lia.Formula {
-	if len(flow) != len(a.Edges) {
-		panic("parikh: flow variable count mismatch")
-	}
-	tmpl := template(a, st)
-	// The renaming maps the template's placeholders onto the caller's
-	// flow variables and onto depth variables freshly allocated here —
-	// in the same order whether the template was cached or just built,
-	// so caching never perturbs pool numbering.
-	ren := make(map[lia.Var]lia.Var, len(flow)+a.NumStates)
-	for i, f := range flow {
-		ren[lia.Var(i)] = f
-	}
-	for q := 0; q < a.NumStates; q++ {
-		ren[lia.Var(len(flow)+q)] = pool.Fresh("z")
-	}
-	return lia.Rename(tmpl, ren)
-}
-
-// formulaBody is the Verma–Seidl–Schwentick encoding over explicit
-// flow and depth variables.
-func formulaBody(a Automaton, flow, z []lia.Var) lia.Formula {
-	var conj []lia.Formula
-
-	// Non-negativity.
-	for _, f := range flow {
-		conj = append(conj, lia.Ge(lia.V(f), lia.Const(0)))
-	}
-
-	// Flow conservation: in(q) - out(q) = [q==Final] - [q==Init].
-	in := make([][]int, a.NumStates)  // edge indices
-	out := make([][]int, a.NumStates) // edge indices
-	for i, e := range a.Edges {
-		out[e.From] = append(out[e.From], i)
-		in[e.To] = append(in[e.To], i)
-	}
-	for q := 0; q < a.NumStates; q++ {
-		e := lia.NewLin()
-		for _, i := range in[q] {
-			e.AddTermInt(flow[i], 1)
-		}
-		for _, i := range out[q] {
-			e.AddTermInt(flow[i], -1)
-		}
-		rhs := int64(0)
-		if q == a.Final {
-			rhs++
-		}
-		if q == a.Init {
-			rhs--
-		}
-		conj = append(conj, lia.Eq(e, lia.Const(rhs)))
-	}
-
-	// Connectivity: depth variables z_q. z_Init = 1; for every other
-	// state, either no incoming flow (then flow conservation forces no
-	// outgoing flow either) or it is reached from a connected
-	// predecessor one level deeper.
-	conj = append(conj, lia.EqConst(z[a.Init], 1))
-	maxDepth := int64(a.NumStates)
-	for q := 0; q < a.NumStates; q++ {
-		conj = append(conj,
-			lia.Ge(lia.V(z[q]), lia.Const(0)),
-			lia.Le(lia.V(z[q]), lia.Const(maxDepth)))
-		if q == a.Init {
-			continue
-		}
-		inflow := lia.NewLin()
-		for _, i := range in[q] {
-			inflow.AddTermInt(flow[i], 1)
-		}
-		noIn := lia.Eq(inflow, lia.Const(0))
-		var reach []lia.Formula
-		for _, i := range in[q] {
-			p := a.Edges[i].From
-			if p == q {
-				continue // self-loop cannot establish first reachability
-			}
-			reach = append(reach, lia.And(
-				lia.Ge(lia.V(flow[i]), lia.Const(1)),
-				lia.Ge(lia.V(z[p]), lia.Const(1)),
-				lia.Eq(lia.V(z[q]), lia.V(z[p]).AddConst(1)),
-			))
-		}
-		conj = append(conj, lia.Or(noIn, lia.Or(reach...)))
-	}
-	return lia.And(conj...)
 }

@@ -226,43 +226,53 @@ func buildSkeleton(ec *engine.Ctx, p, q *PA) (sk *syncSkeleton, truncated bool) 
 	return sk, false
 }
 
-// ProductFlows records one asynchronous product and its flow variables
-// for lazy connectivity checking. Act is the product's activation
-// variable: the synchronization formula pins it to 1, so in models that
-// do not select the disjunct containing the product (where the flow
-// variables are meaningless) it can take another value and the
-// connectivity cuts are vacuous.
-type ProductFlows struct {
-	Aut  parikh.Automaton
-	Flow []lia.Var
-	Act  lia.Var
+// productFlows records one flow graph and its flow variables for lazy
+// connectivity checking. act is the graph's activation variable: the
+// formula pins it to 1, so in models that do not select the disjunct
+// containing the graph (where the flow variables are meaningless) it
+// can take another value and the connectivity cuts are vacuous.
+type productFlows struct {
+	aut  parikh.Automaton
+	flow []lia.Var
+	act  lia.Var
 }
 
-// CutRegistry collects the products built by Sync so that candidate
-// models can be screened for used-edge connectivity, with violated
-// products refined by cut lemmas (lazy alternative to the eager
-// spanning-tree Parikh encoding; see parikh.CutFormula).
+// CutRegistry collects the flow graphs of one formula — the products
+// built by Sync and the over-approximation's regular constraints — so
+// that candidate models can be screened for used-edge connectivity,
+// with violated graphs refined by cut lemmas (see parikh.CutFormula).
 type CutRegistry struct {
-	Products []ProductFlows
+	products []productFlows
 }
 
-// Lemmas inspects a candidate model. It returns nil when every product
-// flow is connected; otherwise a conjunction of cut lemmas that exclude
-// the model but no genuine solution.
+// Parikh registers the graph aut with its flow variables (one per
+// edge, allocated by the caller) so that Lemmas refines its
+// disconnected flows. It returns the conjuncts the caller's formula
+// starts with: the flow-only Parikh formula of aut, then the pin of a
+// fresh activation variable to 1.
+func (r *CutRegistry) Parikh(pool *lia.Pool, aut parikh.Automaton, flow []lia.Var) []lia.Formula {
+	act := pool.Fresh("act")
+	r.products = append(r.products, productFlows{aut: aut, flow: flow, act: act})
+	return []lia.Formula{parikh.FlowOnly(aut, flow), lia.EqConst(act, 1)}
+}
+
+// Lemmas inspects a candidate model. It returns nil when every
+// registered flow is connected; otherwise a conjunction of cut lemmas
+// that exclude the model but no genuine solution.
 func (r *CutRegistry) Lemmas(m lia.Model) lia.Formula {
 	var cuts []lia.Formula
-	for _, pr := range r.Products {
-		if m.Value(pr.Act).Sign() <= 0 {
-			continue // product not active in this model
+	for _, pr := range r.products {
+		if m.Value(pr.act).Sign() <= 0 {
+			continue // graph not active in this model
 		}
-		used := make([]bool, len(pr.Flow))
-		for i, f := range pr.Flow {
+		used := make([]bool, len(pr.flow))
+		for i, f := range pr.flow {
 			used[i] = m.Value(f).Sign() > 0
 		}
-		if comp, ok := parikh.Disconnected(pr.Aut, used); !ok {
+		if comp, ok := parikh.Disconnected(pr.aut, used); !ok {
 			cuts = append(cuts, lia.Or(
-				lia.Le(lia.V(pr.Act), lia.Const(0)),
-				parikh.CutFormula(pr.Aut, pr.Flow, comp),
+				lia.Le(lia.V(pr.act), lia.Const(0)),
+				parikh.CutFormula(pr.aut, pr.flow, comp),
 			))
 		}
 	}
@@ -277,11 +287,9 @@ func (r *CutRegistry) Lemmas(m lia.Model) lia.Formula {
 // whose models pair the word encodings of a common word of both
 // automata. It conjoins the Parikh-image formula of the asynchronous
 // product, the counter-projection constraints Ψ_#, the value-matching
-// constraints Ψ_=, and both automata's local constraints.
-//
-// When reg is non-nil, the Parikh part uses the flow-only encoding and
-// registers the product for lazy connectivity cuts; with a nil reg the
-// eager (spanning-tree) encoding is emitted instead.
+// constraints Ψ_=, and both automata's local constraints. The Parikh
+// part is flow conservation only; the product is registered on reg,
+// whose Lemmas enforce used-edge connectivity lazily.
 //
 // The product is trimmed to states reachable from (init,init) and
 // co-reachable to (final,final); when none remain the intersection is
@@ -304,21 +312,13 @@ func Sync(ec *engine.Ctx, pool *lia.Pool, p, q *PA, reg *CutRegistry, st *engine
 		return lia.False
 	}
 	kept := sk.edges
-	aut := sk.aut
 
 	// Parikh formula of the product over fresh flow variables.
 	flow := make([]lia.Var, len(kept))
 	for i := range kept {
 		flow[i] = pool.Fresh("yprod")
 	}
-	var conj []lia.Formula
-	if reg != nil {
-		act := pool.Fresh("act")
-		conj = append(conj, parikh.FlowOnly(aut, flow), lia.EqConst(act, 1))
-		reg.Products = append(reg.Products, ProductFlows{Aut: aut, Flow: flow, Act: act})
-	} else {
-		conj = append(conj, parikh.Formula(aut, flow, pool, st))
-	}
+	conj := reg.Parikh(pool, sk.aut, flow)
 
 	// Ψ_#: each component counter equals the sum of product flows whose
 	// label projects to its transition. Transitions absent from the

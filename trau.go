@@ -85,9 +85,6 @@ func NewSolver() *Solver {
 // SetTimeout changes the per-Solve wall-clock budget (0 = none).
 func (s *Solver) SetTimeout(d time.Duration) { s.opts.Timeout = d }
 
-// SetOptions replaces the full decision-procedure options.
-func (s *Solver) SetOptions(o core.Options) { s.opts = o }
-
 // Problem exposes the underlying constraint problem for advanced use.
 func (s *Solver) Problem() *strcon.Problem { return s.prob }
 
